@@ -32,7 +32,7 @@ from .config import (
     parse_run_config,
     parse_sweep_config,
 )
-from .dynamics import ControlProblem, integrate_euler, integrator, scalar_linear
+from .dynamics import ControlProblem, integrator, rollout, scalar_linear
 from .experiments import (
     Axis,
     GridSpec,
@@ -108,6 +108,7 @@ def cmd_train(args) -> int:
             "loss_best": res.loss_best,
             "diverged": res.diverged,
             "diverged_at": res.diverged_at,
+            "diverged_step": res.diverged_step,
         },
     )
     if cfg.output.plot:
@@ -133,7 +134,7 @@ def cmd_train(args) -> int:
                 ylabel="E",
             ),
         )
-        traj = integrate_euler(problem, lambda t: model.forward(res.theta_best, t))
+        traj = rollout(problem, model, res.theta_best)
         _write(
             outdir,
             "control.svg",

@@ -197,7 +197,9 @@ class Trajectory:
 def integrate_euler(problem: ControlProblem, controller) -> Trajectory:
     """Forward Euler with left-endpoint control sampling.
 
-    controller is any callable t -> (m,) control vector. Raises
+    controller is a callable t -> (m,) control vector, which is sampled at
+    t_0..t_{K-1} before the scan, or those K controls already sampled as a
+    (K, m) array (for a network, one forward_batch call; see rollout). Raises
     DivergenceError carrying the step index as soon as a state stops being
     finite.
     """
@@ -206,19 +208,25 @@ def integrate_euler(problem: ControlProblem, controller) -> Trajectory:
     dt = problem.dt
     times = problem.times()
     n, m = dyn.n, dyn.m
+    if callable(controller):
+        controller = [np.asarray(controller(t), dtype=np.float64).reshape(m) for t in times[:-1]]
+    controls = np.array(controller, dtype=np.float64)
+    if controls.shape != (k_steps, m):
+        raise DimensionError(f"controls must have shape ({k_steps}, {m}), got {controls.shape}")
     states = np.zeros((k_steps + 1, n))
-    controls = np.zeros((k_steps, m))
     x = problem.x0.copy()
     states[0] = x
     for k in range(k_steps):
-        t = times[k]
-        u = np.asarray(controller(t), dtype=np.float64).reshape(m)
-        controls[k] = u
-        x = x + dt * dyn.f(x, u, t)
+        x = x + dt * dyn.f(x, controls[k], times[k])
         if not np.all(np.isfinite(x)):
             raise DivergenceError(k)
         states[k + 1] = x
     return Trajectory(times, states, controls, dynamics=dyn)
+
+
+def rollout(problem: ControlProblem, model, theta) -> Trajectory:
+    """Euler trajectory of a controller at theta, sampled once with forward_batch."""
+    return integrate_euler(problem, model.forward_batch(theta, problem.times()[:-1]))
 
 
 def terminal_loss(traj: Trajectory, x_star) -> float:

@@ -22,9 +22,9 @@ from .dynamics import (
     MovingParticleDynamics,
     Trajectory,
     control_energy,
-    integrate_euler,
     integrator,
     mse_control,
+    rollout,
     scalar_linear,
     terminal_loss,
     work_functional,
@@ -351,9 +351,7 @@ def run_sweep_cell(cfg: SweepConfig, layers: int, max_neurons: int, seed: int) -
     )
     theta0 = init_params(model, cfg.init, SeededRng(seed))
     res = train(cfg.problem, model, theta0, cfg.optimizer, cfg.epochs)
-    traj = integrate_euler(
-        cfg.problem, lambda t, th=res.theta_best: model.forward(th, t)
-    )
+    traj = rollout(cfg.problem, model, res.theta_best)
     u = traj.controls.ravel()
     energy = control_energy(traj)
     loss = terminal_loss(traj, cfg.problem.x_star)
@@ -545,8 +543,8 @@ def protocol_comparison(
           protocol=tbptt, seed=seed)
     sec_t = (time.perf_counter() - t0) / timing_epochs
 
-    traj_b = integrate_euler(problem, lambda t: model.forward(res_b.theta_best, t))
-    traj_t = integrate_euler(problem, lambda t: model.forward(res_t.theta_best, t))
+    traj_b = rollout(problem, model, res_b.theta_best)
+    traj_t = rollout(problem, model, res_t.theta_best)
     dyn = problem.dynamics
     estar = linear_nd_oc(dyn.A, dyn.B, problem.x0, problem.x_star,
                          problem.T).energy
@@ -630,7 +628,7 @@ def mu_sweep(
     for mu in mus:
         loss_spec = LossSpec.terminal() if mu == 0.0 else LossSpec.work(mu)
         res = train(problem, model, theta0, Adam(eta), epochs, loss=loss_spec)
-        traj = integrate_euler(problem, lambda t: model.forward(res.theta_best, t))
+        traj = rollout(problem, model, res.theta_best)
         loss = terminal_loss(traj, problem.x_star)
         w = work_functional(traj)
         e = control_energy(traj)
@@ -673,12 +671,12 @@ def architecture_scan(
             model = MlpSpec((width,) * depth, activation=act, out_dim=1)
             theta0 = init_params(model, InitScheme.constant(1e-2))
             res = train(problem, model, theta0, Adam(eta), epochs)
-            traj = integrate_euler(problem, lambda t: model.forward(res.theta_best, t))
+            traj = rollout(problem, model, res.theta_best)
             loss = terminal_loss(traj, problem.x_star)
-            mse = mse_control(
-                lambda t: model.forward(res.theta_best, t),
-                sol.u_star, steps, problem.T,
-            )
+            # the grid mse_control samples: t_i = i*T/M, i = 1..M
+            ts = np.arange(1, steps + 1) * (problem.T / steps)
+            mse = mse_control(model.forward_batch(res.theta_best, ts),
+                              sol.u_star, steps, problem.T)
             finite = np.isfinite(loss) and np.isfinite(mse)
             out.append(ScanPoint(depth, act.kind, loss, mse,
                                  diverged=res.diverged or not finite))

@@ -1,12 +1,14 @@
 """Gradients of control objectives through the Euler recursion.
 
-bptt_grad runs the full discrete adjoint: lambda_K = dL/dx_K, then
-lambda_k = (I + dt * dfdx^T) lambda_{k+1} plus any integrated-cost state
-terms, pulling dt * dfdu^T lambda_{k+1} back through the controller at every
-step (K vjp calls). tbptt_grad keeps a single time index k' and does exactly
-one vjp; its "propagated" variant uses the true adjoint at k'+1 so the K
-single-index gradients sum back to the full one, while "frozen" zeroes all
-state sensitivity downstream of k'.
+Each gradient samples the controls once (U = forward_batch on t_0..t_{K-1})
+and runs the Euler scan on them. bptt_grad runs the full discrete adjoint:
+lambda_K = dL/dx_K, then lambda_k = (I + dt * dfdx^T) lambda_{k+1} plus any
+integrated-cost state terms, collects the K cotangents dt * dfdu^T
+lambda_{k+1} and pulls them back in one batched vjp (counted as K).
+tbptt_grad keeps a single time index k' and does exactly one vjp; its
+"propagated" variant uses the true adjoint at k'+1 so the K single-index
+gradients sum back to the full one, while "frozen" zeroes all state
+sensitivity downstream of k'.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .dynamics import (
     ControlProblem,
     Trajectory,
     control_energy,
-    integrate_euler,
+    rollout,
     terminal_loss,
     work_functional,
 )
@@ -89,9 +91,10 @@ class GradResult(NamedTuple):
 def bptt_grad(
     problem: ControlProblem, model, theta, loss: LossSpec = LossSpec()
 ) -> GradResult:
-    """Full-horizon gradient of J(theta) by the discrete adjoint (K vjps)."""
+    """Full-horizon gradient of J(theta) by the discrete adjoint: one batched
+    pullback of the K control cotangents, counted as K vjps."""
     theta = np.asarray(theta, dtype=np.float64)
-    traj = integrate_euler(problem, lambda t: model.forward(theta, t))
+    traj = rollout(problem, model, theta)
     dyn = problem.dynamics
     dt = problem.dt
     xs, us, ts = traj.states, traj.controls, traj.times
@@ -99,23 +102,21 @@ def bptt_grad(
     mu = loss.mu
 
     lam = xs[k_steps] - problem.x_star
-    grad = np.zeros(theta.shape[0])
+    g_us = np.empty_like(us)
     for k in reversed(range(k_steps)):
-        b_k = dyn.dfdu(xs[k], us[k], ts[k])
-        g_u = dt * (b_k.T @ lam)
-        if loss.integrated == "energy":
-            g_u = g_u + mu * dt * us[k]
-        elif loss.integrated == "work":
-            # d(v u)/du = v
-            g_u = g_u + mu * dt * np.array([xs[k][1]])
-        grad += model.vjp(theta, ts[k], g_u)
-        _count_vjp()
+        g_us[k] = dt * (dyn.dfdu(xs[k], us[k], ts[k]).T @ lam)
         if k > 0:
-            a_k = dyn.dfdx(xs[k], us[k], ts[k])
-            lam = lam + dt * (a_k.T @ lam)
+            lam = lam + dt * (dyn.dfdx(xs[k], us[k], ts[k]).T @ lam)
             if loss.integrated == "work":
                 # d(v u)/dx = (0, u)
                 lam = lam + mu * dt * np.array([0.0, us[k][0]])
+    if loss.integrated == "energy":
+        g_us += mu * dt * us
+    elif loss.integrated == "work":
+        # d(v u)/du = v
+        g_us += mu * dt * xs[:-1, 1:2]
+    grad = model.vjp(theta, ts[:-1], g_us)
+    _count_vjp(k_steps)
     return GradResult(grad, loss.value(traj, problem.x_star), traj)
 
 
@@ -139,7 +140,7 @@ def tbptt_grad(
     if not 0 <= k_index < k_steps:
         raise ValueError(f"k_index must be in [0, {k_steps}), got {k_index}")
     theta = np.asarray(theta, dtype=np.float64)
-    traj = integrate_euler(problem, lambda t: model.forward(theta, t))
+    traj = rollout(problem, model, theta)
     dyn = problem.dynamics
     dt = problem.dt
     xs, us, ts = traj.states, traj.controls, traj.times
@@ -148,8 +149,7 @@ def tbptt_grad(
     if variant == "propagated":
         for k in reversed(range(k_index + 1, k_steps)):
             lam = lam + dt * (dyn.dfdx(xs[k], us[k], ts[k]).T @ lam)
-    b_k = dyn.dfdu(xs[k_index], us[k_index], ts[k_index])
-    g_u = dt * (b_k.T @ lam)
+    g_u = dt * (dyn.dfdu(xs[k_index], us[k_index], ts[k_index]).T @ lam)
     grad = model.vjp(theta, ts[k_index], g_u)
     _count_vjp()
     return GradResult(grad, terminal_loss(traj, problem.x_star), traj)
@@ -166,14 +166,11 @@ def fd_grad(
     theta = np.asarray(theta, dtype=np.float64)
 
     def objective(th):
-        traj = integrate_euler(problem, lambda t: model.forward(th, t))
-        return loss.value(traj, problem.x_star)
+        return loss.value(rollout(problem, model, th), problem.x_star)
 
     grad = np.zeros(theta.shape[0])
     for i in range(theta.shape[0]):
-        up = theta.copy()
-        dn = theta.copy()
-        up[i] += h
-        dn[i] -= h
-        grad[i] = (objective(up) - objective(dn)) / (2.0 * h)
+        e = np.zeros_like(theta)
+        e[i] = h
+        grad[i] = (objective(theta + e) - objective(theta - e)) / (2.0 * h)
     return grad

@@ -18,7 +18,7 @@ from .dynamics import (
     ControlProblem,
     DivergenceError,
     control_energy,
-    integrate_euler,
+    rollout,
     terminal_loss,
 )
 from .linalg import SeededRng
@@ -111,7 +111,7 @@ def _eval_theta(problem, model, theta, ts, us) -> tuple[float, float, float]:
         # overflow on a blown-up cell is routine; the integrator raises
         # DivergenceError on non-finite states and the cell becomes NaN
         with np.errstate(over="ignore", invalid="ignore"):
-            traj = integrate_euler(problem, lambda t: model.forward(theta, t))
+            traj = rollout(problem, model, theta)
     except DivergenceError:
         return np.nan, np.nan, np.nan
     loss = terminal_loss(traj, problem.x_star)

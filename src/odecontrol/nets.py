@@ -1,9 +1,12 @@
 """Controller networks: small MLPs mapping scalar time to a control vector,
 with explicit layer-tape reverse mode.
 
-This is deliberately not a general autodiff engine. The forward pass stores
-pre-activations per layer; vjp replays the tape backwards for one cotangent.
-All models expose the same trio (n_params, forward, vjp), so the gradient and
+This is deliberately not a general autodiff engine. The controller depends
+on t only, so every evaluation is one batched pass over a (K,) time array:
+the tape stores each layer's inputs and pre-activations as (K, width)
+arrays, and vjp replays it backwards for K cotangents at once, returning the
+sum of the K pullbacks (a scalar t is the K = 1 case). All models expose the
+same quartet (n_params, forward, forward_batch, vjp), so the gradient and
 training code never cares which shape of controller it is driving.
 """
 
@@ -36,7 +39,7 @@ class Activation:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown activation kind {self.kind!r}")
-        # dispatch once; value/deriv sit on the hot path of every solver step
+        # dispatch once; value/deriv sit on the hot path of every forward and vjp
         if self.kind == "linear":
             val = lambda z: z
             der = lambda z: np.ones_like(z)
@@ -193,8 +196,8 @@ class MlpSpec:
                     f"{len(acts)} activations given for {len(self.hidden)} hidden layers"
                 )
         object.__setattr__(self, "activation", acts)
-        # freeze the layer structure up front; forward/vjp run once per solver
-        # step and should not rebuild these lists every call
+        # freeze the layer structure up front; forward/vjp run at least once per
+        # epoch and should not rebuild these lists every call
         widths = (self.in_dim,) + self.hidden + (self.out_dim,)
         shapes = tuple(
             (widths[i], widths[i + 1], self.use_bias) for i in range(len(widths) - 1)
@@ -238,14 +241,14 @@ class MlpSpec:
             )
         return theta
 
-    def _scalar_tape(self, theta: np.ndarray, t: float):
-        """Run the net on one scalar time, keeping inputs and pre-activations."""
+    def _tape(self, theta: np.ndarray, ts: np.ndarray):
+        """Run the net on a (K,) time array, keeping inputs and pre-activations."""
         tape = []
-        a = np.full(self.in_dim, float(t))
+        a = np.repeat(ts[:, None], self.in_dim, axis=1)
         for (fi, fo, has_b), (w0, w1, b0, b1), act in zip(
             self._shapes, self._offs, self._acts
         ):
-            z = theta[w0:w1].reshape(fo, fi) @ a
+            z = a @ theta[w0:w1].reshape(fo, fi).T
             if has_b:
                 z += theta[b0:b1]
             tape.append((a, z))
@@ -254,48 +257,42 @@ class MlpSpec:
 
     def forward(self, theta, t: float) -> np.ndarray:
         """Control vector at scalar time t, shape (out_dim,)."""
-        theta = self._check_theta(theta)
-        y, _ = self._scalar_tape(theta, t)
-        return np.asarray(y, dtype=np.float64)
+        y, _ = self._tape(self._check_theta(theta), np.array([t], dtype=np.float64))
+        return y[0]
 
     def forward_batch(self, theta, ts: np.ndarray) -> np.ndarray:
         """Controls at a 1-D array of times, shape (len(ts), out_dim)."""
-        theta = self._check_theta(theta)
-        ts = np.asarray(ts, dtype=np.float64)
-        a = np.repeat(ts[:, None], self.in_dim, axis=1)
-        for (fi, fo, has_b), (w0, w1, b0, b1), act in zip(
-            self._shapes, self._offs, self._acts
-        ):
-            z = a @ theta[w0:w1].reshape(fo, fi).T
-            if has_b:
-                z += theta[b0:b1]
-            a = act._val(z)
-        return a
+        y, _ = self._tape(self._check_theta(theta), np.asarray(ts, dtype=np.float64))
+        return y
 
-    def vjp(self, theta, t: float, ybar) -> np.ndarray:
-        """J_u(t)^T ybar: the cotangent ybar pulled back to parameter space."""
+    def vjp(self, theta, t, ybar) -> np.ndarray:
+        """J_u(t)^T ybar pulled back to parameter space; for a (K,) t and a
+        (K, out_dim) ybar, the sum of the K pullbacks."""
         theta = self._check_theta(theta)
-        ybar = np.asarray(ybar, dtype=np.float64)
-        if ybar.shape != (self.out_dim,):
-            raise DimensionError(
-                f"ybar must have shape ({self.out_dim},), got {ybar.shape}"
-            )
-        _, tape = self._scalar_tape(theta, t)
+        ts, g = _cotangents(t, ybar, self.out_dim)
+        _, tape = self._tape(theta, ts)
         shapes, offs, acts = self._shapes, self._offs, self._acts
         # offsets tile theta contiguously, so every slice below is written once
         grad = np.empty(self._n_params)
-        g = ybar
         for l in range(len(shapes) - 1, -1, -1):
             a_prev, z = tape[l]
             g = g * acts[l]._der(z)
             fi, fo, has_b = shapes[l]
             w0, w1, b0, b1 = offs[l]
-            grad[w0:w1] = np.outer(g, a_prev).reshape(fi * fo)
+            grad[w0:w1] = (g.T @ a_prev).reshape(fi * fo)
             if has_b:
-                grad[b0:b1] = g
+                grad[b0:b1] = g.sum(axis=0)
             if l > 0:
-                g = theta[w0:w1].reshape(fo, fi).T @ g
+                g = g @ theta[w0:w1].reshape(fo, fi)
         return grad
+
+
+def _cotangents(t, ybar, out_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(ts, ybar) as (K,) and (K, out_dim) arrays; a scalar t is K = 1."""
+    ts, ybar = np.asarray(t, dtype=np.float64), np.asarray(ybar, dtype=np.float64)
+    if ts.ndim > 1 or ybar.shape != ts.shape + (out_dim,):
+        raise DimensionError(f"ybar must have shape {ts.shape + (out_dim,)}, got {ybar.shape}")
+    return ts.reshape(-1), ybar.reshape(-1, out_dim)
 
 
 @dataclass(frozen=True)
@@ -320,19 +317,18 @@ class SingleNeuron:
         return [(1, 1, True)]
 
     def forward(self, theta, t: float) -> np.ndarray:
-        w, b = float(theta[0]), float(theta[1])
-        return np.array([float(self.activation.value(np.float64(w * t))) + b])
+        return self.forward_batch(theta, [t])[0]
 
     def forward_batch(self, theta, ts: np.ndarray) -> np.ndarray:
         w, b = float(theta[0]), float(theta[1])
         ts = np.asarray(ts, dtype=np.float64)
         return (self.activation.value(w * ts) + b)[:, None]
 
-    def vjp(self, theta, t: float, ybar) -> np.ndarray:
-        w = float(theta[0])
-        ybar = np.asarray(ybar, dtype=np.float64)
-        d = float(self.activation.deriv(np.float64(w * t)))
-        return np.array([ybar[0] * d * t, ybar[0]])
+    def vjp(self, theta, t, ybar) -> np.ndarray:
+        """Pullback of ybar; a (K,) t with (K, 1) ybar sums the K pullbacks."""
+        ts, g = _cotangents(t, ybar, 1)
+        d = self.activation.deriv(float(theta[0]) * ts)
+        return np.array([np.sum(g[:, 0] * d * ts), np.sum(g)])
 
 
 @dataclass(frozen=True)
@@ -356,8 +352,9 @@ class ConstantControl:
         theta = np.asarray(theta, dtype=np.float64)
         return np.tile(theta, (len(ts), 1))
 
-    def vjp(self, theta, t: float, ybar) -> np.ndarray:
-        return np.asarray(ybar, dtype=np.float64).copy()
+    def vjp(self, theta, t, ybar) -> np.ndarray:
+        """Pullback of ybar; a (K,) t with (K, out_dim) ybar sums the K rows."""
+        return _cotangents(t, ybar, self.out_dim)[1].sum(axis=0)
 
 
 def init_params(model, scheme: InitScheme, rng: SeededRng | None = None) -> np.ndarray:

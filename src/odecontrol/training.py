@@ -172,7 +172,8 @@ class TrainResult:
     best_epoch: int
     theta_final: np.ndarray
     diverged: bool = False
-    diverged_at: int | None = None
+    diverged_at: int | None = None  # epoch whose gradient pass diverged
+    diverged_step: int | None = None  # integrator step at which it did
 
 
 def delta_u_weighted(model, theta_prev, theta_next, a: float, horizon: float,
@@ -199,12 +200,9 @@ def _scalar_linear_coeffs(problem: ControlProblem):
 
 
 def _energy_grad(problem: ControlProblem, model, theta, traj) -> np.ndarray:
-    """Gradient of E = 1/2 dt sum ||u_k||^2 in parameter space (K vjps)."""
-    dt = problem.dt
-    grad = np.zeros(len(theta))
-    for k in range(problem.steps):
-        grad += model.vjp(theta, traj.times[k], dt * traj.controls[k])
-    return grad
+    """Gradient of E = 1/2 dt sum ||u_k||^2 in parameter space: one batched
+    pullback of dt * U."""
+    return model.vjp(theta, traj.times[:-1], problem.dt * traj.controls)
 
 
 def train(
@@ -245,7 +243,7 @@ def train(
     loss_best = math.inf
     best_epoch = -1
     diverged = False
-    diverged_at = None
+    diverged_at = diverged_step = None
 
     for epoch in range(epochs):
         if protocol.kind == "tbptt" and protocol.schedule == "random":
@@ -263,8 +261,8 @@ def train(
         except DivergenceError as err:
             diverged = True
             diverged_at = epoch
+            diverged_step = err.step
             # the offending iterate is not recorded; history holds epochs 0..n-1
-            _ = err
             break
 
         grad = res.grad
@@ -327,6 +325,7 @@ def train(
         theta_final=theta,
         diverged=diverged,
         diverged_at=diverged_at,
+        diverged_step=diverged_step,
     )
 
 

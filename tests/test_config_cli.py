@@ -228,6 +228,7 @@ class TestTrainCommand:
         assert manifest["seed"] == 0
         assert manifest["artifact_version"] == __version__
         assert manifest["diverged"] is False
+        assert manifest["diverged_at"] is None and manifest["diverged_step"] is None
         model = SingleNeuron()
         theta = theta_from_json((outdir / "best_theta.json").read_text(), model)
         assert theta.shape == (2,)
@@ -272,6 +273,8 @@ class TestTrainCommand:
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert manifest["diverged"] is True
         assert isinstance(manifest["diverged_at"], int)
+        assert isinstance(manifest["diverged_step"], int)
+        assert 0 <= manifest["diverged_step"] < doc["problem"]["steps"]
         history = (outdir / "history.csv").read_text().strip().split("\n")
         assert len(history) == 1 + manifest["diverged_at"]
 

@@ -7,7 +7,14 @@ import math
 import numpy as np
 import pytest
 
-from odecontrol.dynamics import ControlProblem, integrate_euler, integrator, scalar_linear
+from odecontrol.dynamics import (
+    ControlProblem,
+    DivergenceError,
+    integrate_euler,
+    integrator,
+    rollout,
+    scalar_linear,
+)
 from odecontrol.gradients import LossSpec
 from odecontrol.nets import (
     ConstantControl,
@@ -143,6 +150,26 @@ class TestTrainLoop:
         assert res.diverged_at is not None
         assert len(res.history) == res.diverged_at
         assert np.all(np.isfinite(res.theta_best))
+
+    def test_divergence_records_integrator_step(self):
+        problem = ControlProblem(scalar_linear(1.0, 1.0), [0.0], [1.0], 1.0, 40)
+        model = MlpSpec((6, 6), activation=elu())
+        theta0 = init_params(model, InitScheme.constant(0.1))
+        res = train(problem, model, theta0, Sd(80.0), 50)
+        assert res.diverged
+        assert isinstance(res.diverged_step, int)
+        assert 0 <= res.diverged_step < problem.steps
+        # theta_final is the iterate whose gradient pass diverged
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as info:
+                rollout(problem, model, res.theta_final)
+        assert info.value.step == res.diverged_step
+
+    def test_finished_run_has_no_divergence_step(self):
+        res = train(quick_problem(), SingleNeuron(LINEAR), np.array([0.5, 0.5]),
+                    Sd(0.1), 5)
+        assert not res.diverged
+        assert res.diverged_at is None and res.diverged_step is None
 
     def test_epoch_budget_validated(self):
         with pytest.raises(ValueError):
