@@ -1,5 +1,7 @@
-"""Small dense linear-algebra kit: matrix exponential, controllability
-Gramian, SPD solves, and seeded random number generation.
+"""Small dense linear-algebra kit: the matrix exponential by scaling and
+squaring of a Taylor polynomial, the controllability Gramian by the
+trapezoid rule, SPD solves on numpy's LAPACK Cholesky, and seeded random
+number generation.
 
 Everything works on float64 numpy arrays and checks dimensions explicitly;
 nothing here broadcasts silently.
@@ -52,35 +54,30 @@ def check_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def mat_exp(a, t: float = 1.0, substeps_per_unit: int = 1000) -> np.ndarray:
-    """exp(A t) computed by integrating X' = A X, X(0) = I with classical RK4.
+def mat_exp(a, t: float = 1.0) -> np.ndarray:
+    """exp(A t) by scaling and squaring (Higham 2005, SIAM J. Matrix Anal.
+    Appl. 26(4)).
 
-    Parameters
-    ----------
-    a : (n, n) array
-    t : float, finite
-    substeps_per_unit : RK4 steps per unit of |t|, at least 1000 by contract.
-
-    The step count scales with |t| so accuracy is uniform in the horizon.
+    A t is halved s times until its 1-norm is at most 1/2, where the
+    degree-18 Taylor polynomial is exact to rounding; the polynomial is then
+    squared s times. A, t and A t must be finite.
     """
     A = check_square(a, "A")
     t = float(t)
     if not np.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
-    if substeps_per_unit < 1:
-        raise ValueError("substeps_per_unit must be >= 1")
-    n = A.shape[0]
-    X = np.eye(n)
-    if t == 0.0:
-        return X
-    steps = max(1, int(np.ceil(abs(t) * substeps_per_unit)))
-    h = t / steps
-    for _ in range(steps):
-        k1 = A @ X
-        k2 = A @ (X + 0.5 * h * k1)
-        k3 = A @ (X + 0.5 * h * k2)
-        k4 = A @ (X + h * k3)
-        X = X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    M = A * t
+    if not np.all(np.isfinite(M)):
+        raise ValueError("A and A t must be finite")
+    norm = np.linalg.norm(M, 1)
+    s = int(np.ceil(np.log2(2.0 * norm))) if norm > 0.5 else 0
+    M = M / 2.0**s
+    identity = np.eye(A.shape[0])
+    X = identity
+    for k in range(18, 0, -1):  # Horner: I + M/1 (I + M/2 (I + ...))
+        X = identity + (M @ X) / k
+    for _ in range(s):
+        X = X @ X
     return X
 
 
@@ -121,27 +118,30 @@ def gramian(a, b, horizon: float, steps: int = 2000) -> np.ndarray:
 def cholesky(a) -> np.ndarray:
     """Lower-triangular L with L L^T = A for symmetric positive-definite A.
 
-    Raises NotPositiveDefiniteError (with the pivot value) on the first
-    non-positive pivot, which is how singular Gramians of uncontrollable
-    systems surface.
+    LAPACK's factorization via numpy. A non-positive or non-finite pivot,
+    which is how singular Gramians of uncontrollable systems surface, raises
+    NotPositiveDefiniteError with the index and value of the first such pivot.
     """
     A = check_square(a, "A")
-    if not np.allclose(A, A.T, rtol=1e-10, atol=1e-12):
+    if not np.allclose(A, A.T, rtol=1e-10, atol=1e-12, equal_nan=True):
         raise ValueError("cholesky requires a symmetric matrix")
-    n = A.shape[0]
-    L = np.zeros_like(A)
-    for j in range(n):
-        pivot = A[j, j] - L[j, :j] @ L[j, :j]
-        if pivot <= 0.0 or not np.isfinite(pivot):
-            raise NotPositiveDefiniteError(pivot, j)
-        L[j, j] = np.sqrt(pivot)
-        for i in range(j + 1, n):
-            L[i, j] = (A[i, j] - L[i, :j] @ L[j, :j]) / L[j, j]
-    return L
+    try:
+        L = np.linalg.cholesky(A)
+        if np.all(np.isfinite(L)):
+            return L
+    except np.linalg.LinAlgError:
+        pass
+    for j in range(A.shape[0]):
+        # the pivot of row j is the Schur complement of the leading j x j block
+        pivot = A[j, j] - A[j, :j] @ np.linalg.solve(A[:j, :j], A[:j, j])
+        if not 0.0 < pivot < np.inf:
+            break
+    # LAPACK found a bad pivot; if rounding kept every pivot positive here, name the last row
+    raise NotPositiveDefiniteError(pivot, j)
 
 
 def solve_spd(a, rhs) -> np.ndarray:
-    """Solve A x = rhs for symmetric positive-definite A via Cholesky."""
+    """Solve A x = rhs for symmetric positive-definite A: L y = rhs, L^T x = y."""
     A = check_square(a, "A")
     v = as_vector(rhs, "rhs")
     if v.shape[0] != A.shape[0]:
@@ -149,16 +149,7 @@ def solve_spd(a, rhs) -> np.ndarray:
             f"rhs length {v.shape[0]} does not match matrix size {A.shape[0]}"
         )
     L = cholesky(A)
-    n = A.shape[0]
-    # forward substitution L y = v
-    y = np.zeros(n)
-    for i in range(n):
-        y[i] = (v[i] - L[i, :i] @ y[:i]) / L[i, i]
-    # back substitution L^T x = y
-    x = np.zeros(n)
-    for i in reversed(range(n)):
-        x[i] = (y[i] - L[i + 1 :, i] @ x[i + 1 :]) / L[i, i]
-    return x
+    return np.linalg.solve(L.T, np.linalg.solve(L, v))
 
 
 class SeededRng:

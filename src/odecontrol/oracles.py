@@ -17,6 +17,9 @@ import numpy as np
 
 from .linalg import as_matrix, as_vector, gramian, mat_exp, solve_spd
 
+# trapezoid panels of the Gramian W(T) over the whole horizon in linear_nd_oc
+GRAMIAN_STEPS = 2000
+
 
 @dataclass(frozen=True)
 class OcSolution:
@@ -89,7 +92,7 @@ def scalar_linear_oc(a: float, b: float, x0: float, xstar: float, horizon: float
     return OcSolution(u_fn, x_fn, energy, "energy", "scalar_linear_oc")
 
 
-def linear_nd_oc(a, b, x0, xstar, horizon: float, gramian_steps: int = 2000) -> OcSolution:
+def linear_nd_oc(a, b, x0, xstar, horizon: float) -> OcSolution:
     """Gramian minimum-energy control for x' = A x + B u.
 
     u*(t) = B^T e^{A^T (T-t)} W(T)^{-1} v with v = x* - e^{AT} x0 and
@@ -103,7 +106,7 @@ def linear_nd_oc(a, b, x0, xstar, horizon: float, gramian_steps: int = 2000) -> 
     T = float(horizon)
     if T <= 0.0:
         raise ValueError(f"horizon must be positive, got {T}")
-    W = gramian(A, B, T, gramian_steps)
+    W = gramian(A, B, T, GRAMIAN_STEPS)
     v = xs - mat_exp(A, T) @ x0
     z = solve_spd(W, v)
     energy = 0.5 * float(v @ z)
@@ -116,7 +119,7 @@ def linear_nd_oc(a, b, x0, xstar, horizon: float, gramian_steps: int = 2000) -> 
             return x0.copy()
         # x*(t) = e^{At} x0 + W(t) e^{A^T (T-t)} z, from substituting u* into
         # the variation-of-constants integral
-        steps = max(100, int(round(gramian_steps * t / T)))
+        steps = max(100, int(round(GRAMIAN_STEPS * t / T)))
         w_t = gramian(A, B, t, steps)
         return mat_exp(A, t) @ x0 + w_t @ (mat_exp(A.T, T - t) @ z)
 

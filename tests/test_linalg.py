@@ -64,6 +64,40 @@ class TestMatExp:
         with pytest.raises(DimensionError):
             mat_exp(np.zeros((2, 3)))
 
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="A and A t must be finite"):
+            mat_exp(np.array([[1.0, np.nan], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="A and A t must be finite"):
+            mat_exp(np.array([[np.nan]]), 0.0)
+        with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match="A and A t must be finite"):
+            mat_exp(np.array([[1e300]]), 1e10)  # A t overflows
+        with pytest.raises(ValueError, match="t must be finite"):
+            mat_exp(np.eye(2), np.inf)
+
+    def test_flow2d_closed_form(self):
+        # A = [[1, 0], [1, 0]]: exp(A t) = [[e^t, 0], [e^t - 1, 1]]
+        a = np.array([[1.0, 0.0], [1.0, 0.0]])
+        for t in (-2.0, -0.5, 1e-3, 0.3, 1.0, 3.0):
+            want = np.array([[math.exp(t), 0.0], [math.expm1(t), 1.0]])
+            np.testing.assert_allclose(mat_exp(a, t), want, rtol=1e-14, atol=0.0)
+
+    def test_against_scipy_expm(self):
+        # An independent algorithm: Pade(13) with its own scaling. The two
+        # must agree in relative norm over ||A t||_1 from 1e-3 to 50 and
+        # both signs of t. Against a 60-digit reference, expm itself errs
+        # by up to 4e-12 on about 1 in 300 such random draws, where
+        # mat_exp stays within 1.1e-14, so a failure here may be expm's.
+        expm = pytest.importorskip("scipy.linalg").expm
+        rng = np.random.default_rng(12)
+        for norm in np.geomspace(1e-3, 50.0, 25):
+            a = rng.normal(size=(int(rng.integers(2, 6)),) * 2)
+            for sign in (1.0, -1.0):
+                t = sign * norm / np.linalg.norm(a, 1)
+                want = expm(a * t)
+                got = mat_exp(a, t)
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
 
 class TestGramian:
     def test_integrator_closed_form(self):
@@ -118,8 +152,36 @@ class TestCholeskySolve:
                                    rtol=1e-9)
 
     def test_indefinite_rejected(self):
-        with pytest.raises(NotPositiveDefiniteError):
+        # the pivot of row 1 is the Schur complement 1 - 2 * 2 / 1
+        with pytest.raises(NotPositiveDefiniteError) as err:
             cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        assert err.value.index == 1
+        assert err.value.pivot == -3.0
+
+    def test_zero_leading_pivot(self):
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            cholesky(np.array([[0.0, 0.0], [0.0, 1.0]]))
+        assert err.value.index == 0
+        assert err.value.pivot == 0.0
+
+    def test_third_row_pivot(self):
+        # rank-2 matrix: the pivots are 4, 1 and exactly 0
+        m = np.array([[2.0, 0.0], [1.0, 1.0], [3.0, 1.0]])
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            cholesky(m @ m.T)
+        assert err.value.index == 2
+        assert err.value.pivot == 0.0
+
+    @pytest.mark.parametrize("where", [(0, 0), (1, 1), (0, 1)])
+    def test_nan_entry_rejected(self, where):
+        a = np.array([[2.0, 0.5], [0.5, 1.0]])
+        a[where] = a[where[::-1]] = np.nan
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            cholesky(a)
+        assert err.value.index == max(where)
+        assert math.isnan(err.value.pivot)
+        with pytest.raises(NotPositiveDefiniteError):
+            solve_spd(a, np.ones(2))
 
     def test_solve_shape_mismatch(self):
         with pytest.raises(DimensionError):

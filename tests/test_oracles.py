@@ -103,9 +103,10 @@ class TestLinearNdOc:
         assert sol.value == pytest.approx(31.762904233503146, rel=1e-6)
 
     def test_flow2d_simulation(self):
-        # Sampling u* point by point re-runs mat_exp per step, so tabulate
-        # e^{A^T (T - t_k)} with one backward semigroup sweep and tie the
-        # table to the oracle's own closure at a few spot checks.
+        # Sampling u* point by point costs one mat_exp (about 20 small
+        # matmuls) per step, 20 000 in all, so tabulate e^{A^T (T - t_k)}
+        # with one backward semigroup sweep (one matmul per step) and tie
+        # the table to the oracle's own closure at a few spot checks.
         dyn = LinearDynamics([[1.0, 0.0], [1.0, 0.0]], [[1.0], [0.0]])
         problem = ControlProblem(dyn, [0.5, 0.5], [1.0, -1.0], 1.0, 20_000)
         sol = linear_nd_oc(dyn.A, dyn.B, problem.x0, problem.x_star, 1.0)
