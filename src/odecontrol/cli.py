@@ -177,14 +177,12 @@ def cmd_oc(args) -> int:
     kind = chosen[0]
     if kind == "constant":
         p = _kv_floats(args.params, {"x0": 0.0, "xstar": 1.0, "T": 1.0})
-        problem = ControlProblem(integrator(), [p["x0"]], [p["xstar"]], p["T"], 2)
+        dyn = integrator()
     elif kind == "scalar_linear":
         p = _kv_floats(
             args.params, {"a": 1.0, "b": 1.0, "x0": 0.0, "xstar": 1.0, "T": 1.0}
         )
-        problem = ControlProblem(
-            scalar_linear(p["a"], p["b"]), [p["x0"]], [p["xstar"]], p["T"], 2
-        )
+        dyn = scalar_linear(p["a"], p["b"])
     elif kind == "flow2d":
         if args.params:
             raise ConfigError("oc", "--flow2d takes no parameters (fixed benchmark)")
@@ -197,7 +195,12 @@ def cmd_oc(args) -> int:
         from .experiments import particle_problem
 
         problem = particle_problem()
-    sol = oc_for_problem(problem)
+    try:
+        if kind in ("constant", "scalar_linear"):
+            problem = ControlProblem(dyn, [p["x0"]], [p["xstar"]], p["T"], 2)
+        sol = oc_for_problem(problem)
+    except ValueError as exc:
+        raise ConfigError("oc", str(exc)) from None
     horizon = problem.T
     print(f"{sol.name} ({sol.functional_kind}) optimum={sol.value!r}")
     header = f"{'t':>8}  {'u*(t)':>24}  {'x*(t)':>24}"
@@ -497,11 +500,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, needs_config=True):
-        if needs_config:
-            sp.add_argument("--config", required=True, help="JSON config path")
-        sp.add_argument("--workers", type=int, default=1,
-                        help="process-pool size for grid cells (default 1)")
+    def common(sp, workers=False):
+        sp.add_argument("--config", required=True, help="JSON config path")
+        if workers:
+            sp.add_argument("--workers", type=int, default=1,
+                            help="process-pool size for grid cells (default 1)")
         sp.add_argument("--seed", type=int, default=None,
                         help="override the config's seed")
         sp.add_argument("--out", default=None, help="output directory override")
@@ -515,9 +518,9 @@ def build_parser() -> argparse.ArgumentParser:
     oc.add_argument("--particle", action="store_true", help="the moving particle")
     oc.add_argument("params", nargs="*", help="key=value problem constants")
     common(sub.add_parser("phase", help="single-neuron initialization diagram"))
-    common(sub.add_parser("sweep", help="depth/width sweep from a preset"))
+    common(sub.add_parser("sweep", help="depth/width sweep from a preset"), workers=True)
     common(sub.add_parser("musweep", help="work-multiplier sweep"))
-    common(sub.add_parser("project", help="loss-landscape projection"))
+    common(sub.add_parser("project", help="loss-landscape projection"), workers=True)
     common(sub.add_parser("compare-protocols",
                           help="full vs truncated backprop on the 2-D benchmark"))
     return parser

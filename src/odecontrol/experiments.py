@@ -449,17 +449,15 @@ def depth_width_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
 
 def _problem_manifest(problem: ControlProblem) -> dict:
     dyn = problem.dynamics
-    doc = {
+    return {
         "dynamics": dyn.name,
         "x0": list(np.asarray(problem.x0, dtype=float)),
         "x_star": list(np.asarray(problem.x_star, dtype=float)),
         "horizon": problem.T,
         "steps": problem.steps,
+        "a": dyn.A.tolist(),
+        "b": dyn.B.tolist(),
     }
-    if isinstance(dyn, LinearDynamics):
-        doc["a"] = dyn.A.tolist()
-        doc["b"] = dyn.B.tolist()
-    return doc
 
 
 # -- backprop protocol comparison ---------------------------------------------

@@ -1,10 +1,11 @@
 """Gradients of control objectives through the Euler recursion.
 
 Each gradient samples the controls once (U = forward_batch on t_0..t_{K-1})
-and runs the Euler scan on them. bptt_grad runs the full discrete adjoint:
-lambda_K = dL/dx_K, then lambda_k = (I + dt * dfdx^T) lambda_{k+1} plus any
-integrated-cost state terms, collects the K cotangents dt * dfdu^T
-lambda_{k+1} and pulls them back in one batched vjp (counted as K).
+and runs the Euler scan of x' = A x + B u on them. bptt_grad runs the full
+discrete adjoint: lambda_K = dL/dx_K, then lambda_k = (I + dt * A^T)
+lambda_{k+1} plus any integrated-cost state terms, forms the K cotangents
+dt * B^T lambda_{k+1} in one product and pulls them back in one batched vjp
+(counted as K).
 tbptt_grad keeps a single time index k' and does exactly one vjp; its
 "propagated" variant uses the true adjoint at k'+1 so the K single-index
 gradients sum back to the full one, while "frozen" zeroes all state
@@ -96,20 +97,22 @@ def bptt_grad(
     theta = np.asarray(theta, dtype=np.float64)
     traj = rollout(problem, model, theta)
     dyn = problem.dynamics
+    a_t = dyn.A.T
     dt = problem.dt
     xs, us, ts = traj.states, traj.controls, traj.times
     k_steps = problem.steps
     mu = loss.mu
 
     lam = xs[k_steps] - problem.x_star
-    g_us = np.empty_like(us)
+    lams = np.empty((k_steps, lam.shape[0]))  # lams[k] = lambda_{k+1}
     for k in reversed(range(k_steps)):
-        g_us[k] = dt * (dyn.dfdu(xs[k], us[k], ts[k]).T @ lam)
+        lams[k] = lam
         if k > 0:
-            lam = lam + dt * (dyn.dfdx(xs[k], us[k], ts[k]).T @ lam)
+            lam = lam + dt * (a_t @ lam)
             if loss.integrated == "work":
                 # d(v u)/dx = (0, u)
                 lam = lam + mu * dt * np.array([0.0, us[k][0]])
+    g_us = dt * (lams @ dyn.B)
     if loss.integrated == "energy":
         g_us += mu * dt * us
     elif loss.integrated == "work":
@@ -130,7 +133,7 @@ def tbptt_grad(
     """Single-index truncated gradient (exactly one vjp), terminal loss only.
 
     variant "frozen" is the literal truncated rule with downstream state
-    sensitivities treated as zero: dt * J_u(t_k')^T dfdu^T (x_K - x*).
+    sensitivities treated as zero: dt * J_u(t_k')^T B^T (x_K - x*).
     variant "propagated" (default) replaces the frozen cotangent with the true
     adjoint lambda_{k'+1}, so summing over k' = 0..K-1 reproduces bptt_grad.
     """
@@ -143,14 +146,14 @@ def tbptt_grad(
     traj = rollout(problem, model, theta)
     dyn = problem.dynamics
     dt = problem.dt
-    xs, us, ts = traj.states, traj.controls, traj.times
 
-    lam = xs[k_steps] - problem.x_star
+    lam = traj.states[k_steps] - problem.x_star
     if variant == "propagated":
-        for k in reversed(range(k_index + 1, k_steps)):
-            lam = lam + dt * (dyn.dfdx(xs[k], us[k], ts[k]).T @ lam)
-    g_u = dt * (dyn.dfdu(xs[k_index], us[k_index], ts[k_index]).T @ lam)
-    grad = model.vjp(theta, ts[k_index], g_u)
+        a_t = dyn.A.T
+        for _ in range(k_index + 1, k_steps):
+            lam = lam + dt * (a_t @ lam)
+    g_u = dt * (dyn.B.T @ lam)
+    grad = model.vjp(theta, traj.times[k_index], g_u)
     _count_vjp()
     return GradResult(grad, terminal_loss(traj, problem.x_star), traj)
 

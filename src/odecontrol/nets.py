@@ -178,14 +178,13 @@ class MlpSpec:
     out_dim: int = 1
     out_activation: Activation = LINEAR
     use_bias: bool = True
-    in_dim: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
         if any(h < 1 for h in self.hidden):
             raise ValueError(f"hidden widths must be >= 1, got {self.hidden}")
-        if self.out_dim < 1 or self.in_dim < 1:
-            raise ValueError("in_dim and out_dim must be >= 1")
+        if self.out_dim < 1:
+            raise ValueError("out_dim must be >= 1")
         acts = self.activation
         if isinstance(acts, Activation):
             acts = (acts,) * len(self.hidden)
@@ -198,7 +197,7 @@ class MlpSpec:
         object.__setattr__(self, "activation", acts)
         # freeze the layer structure up front; forward/vjp run at least once per
         # epoch and should not rebuild these lists every call
-        widths = (self.in_dim,) + self.hidden + (self.out_dim,)
+        widths = (1,) + self.hidden + (self.out_dim,)
         shapes = tuple(
             (widths[i], widths[i + 1], self.use_bias) for i in range(len(widths) - 1)
         )
@@ -244,7 +243,7 @@ class MlpSpec:
     def _tape(self, theta: np.ndarray, ts: np.ndarray):
         """Run the net on a (K,) time array, keeping inputs and pre-activations."""
         tape = []
-        a = np.repeat(ts[:, None], self.in_dim, axis=1)
+        a = ts[:, None]
         for (fi, fo, has_b), (w0, w1, b0, b1), act in zip(
             self._shapes, self._offs, self._acts
         ):
@@ -307,7 +306,6 @@ class SingleNeuron:
     activation: Activation = LINEAR
 
     out_dim: int = 1
-    in_dim: int = 1
 
     @property
     def n_params(self) -> int:
@@ -336,7 +334,6 @@ class ConstantControl:
     """Bias-only controller u(t) = c, theta = c (one entry per control dim)."""
 
     out_dim: int = 1
-    in_dim: int = 1
 
     @property
     def n_params(self) -> int:

@@ -15,6 +15,7 @@ from typing import Callable
 
 import numpy as np
 
+from .dynamics import MovingParticleDynamics
 from .linalg import as_matrix, as_vector, gramian, mat_exp, solve_spd
 
 # trapezoid panels of the Gramian W(T) over the whole horizon in linear_nd_oc
@@ -212,16 +213,14 @@ def oc_for_problem(problem) -> OcSolution:
     system to its work-optimal solution, and everything else to the Gramian
     construction.
     """
-    from .dynamics import LinearDynamics, MovingParticleDynamics
-
     dyn = problem.dynamics
     if isinstance(dyn, MovingParticleDynamics):
         return moving_particle_oc()
-    if not isinstance(dyn, LinearDynamics):
-        raise ValueError(f"no closed-form oracle for dynamics {dyn!r}")
     if dyn.n == 1 and dyn.m == 1:
         a = float(dyn.A[0, 0])
         b = float(dyn.B[0, 0])
+        if b == 0.0:
+            raise ValueError("b must be nonzero: x' = a x is not controllable")
         x0 = float(problem.x0[0])
         xs = float(problem.x_star[0])
         if a == 0.0:

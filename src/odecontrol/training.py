@@ -192,8 +192,6 @@ def delta_u_weighted(model, theta_prev, theta_next, a: float, horizon: float,
 def _scalar_linear_coeffs(problem: ControlProblem):
     """(a, b) of a 1-D linear flow, or None if the problem is not one."""
     dyn = problem.dynamics
-    if getattr(dyn, "name", "") != "linear":
-        return None
     if dyn.A.shape != (1, 1) or dyn.B.shape != (1, 1):
         return None
     return float(dyn.A[0, 0]), float(dyn.B[0, 0])

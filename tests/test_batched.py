@@ -8,7 +8,10 @@ the way a per-step loop would, and every check compares the two with
 ||a - b|| <= 1e-12 * ||b||. Hypothesis draws the structure (activation,
 depth, widths, output size, K); the numbers come from a numpy generator
 seeded by hypothesis, so shrinking never walks theta onto a relu kink.
-Runs are derandomized, so a pass or a failure repeats exactly.
+The Euler scan is checked against a per-step scan that tests finiteness
+after every step: the divergence step must match, and the states bit for
+bit with one control input (at 1e-12 with more). Runs are derandomized, so
+a pass or a failure repeats exactly.
 """
 
 import numpy as np
@@ -16,7 +19,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odecontrol.dynamics import DivergenceError, integrate_euler, rollout
+from odecontrol.dynamics import (
+    ControlProblem,
+    DivergenceError,
+    LinearDynamics,
+    MovingParticleDynamics,
+    integrate_euler,
+    rollout,
+)
 from odecontrol.experiments import (
     constant_problem,
     flow2d_problem,
@@ -70,7 +80,7 @@ def ref_layers(model, theta):
 
 def ref_forward(model, theta, t):
     """Control at one scalar time, and the per-layer (input, pre-activation)."""
-    a, tape = np.full(model.in_dim, float(t)), []
+    a, tape = np.full(1, float(t)), []
     for w, b, act in ref_layers(model, theta):
         z = w @ a if b is None else w @ a + b
         tape.append((a, z))
@@ -103,16 +113,34 @@ def ref_bptt(problem, model, theta, loss):
     lam = xs[-1] - problem.x_star
     grad = np.zeros(theta.shape[0])
     for k in reversed(range(problem.steps)):
-        g_u = dt * (dyn.dfdu(xs[k], us[k], ts[k]).T @ lam)
+        g_u = dt * (dyn.B.T @ lam)
         if loss.integrated == "energy":
             g_u = g_u + mu * dt * us[k]
         elif loss.integrated == "work":
             g_u = g_u + mu * dt * np.array([xs[k][1]])
         grad += ref_vjp(model, theta, ts[k], g_u)
-        lam = lam + dt * (dyn.dfdx(xs[k], us[k], ts[k]).T @ lam)
+        lam = lam + dt * (dyn.A.T @ lam)
         if loss.integrated == "work":
             lam = lam + mu * dt * np.array([0.0, us[k][0]])
     return grad
+
+
+def ref_euler(problem, controls):
+    """The per-step scan x + dt * (A x + B u), checking finiteness every step.
+
+    Returns the states before the first non-finite one and that step, or all
+    K+1 states and None.
+    """
+    dyn, dt = problem.dynamics, problem.dt
+    x = problem.x0
+    states = [x]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, u in enumerate(controls):
+            x = x + dt * (dyn.A @ x + dyn.B @ u)
+            if not np.all(np.isfinite(x)):
+                return np.array(states), k
+            states.append(x)
+    return np.array(states), None
 
 
 # -- strategies ---------------------------------------------------------------
@@ -127,6 +155,25 @@ def mlps(draw, max_out=3):
     hidden = tuple(draw(st.lists(st.integers(1, 16), min_size=depth, max_size=depth)))
     return MlpSpec(hidden, activation=draw(activations),
                    out_dim=draw(st.integers(1, max_out)), use_bias=draw(st.booleans()))
+
+
+scales = st.sampled_from([1e-3, 1.0, 1e3, 1e150, 1e300])  # the last two can overflow
+
+
+@st.composite
+def linear_runs(draw):
+    """A random x' = A x + B u problem and K controls, maybe one inf or NaN."""
+    n, m, k = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 40))
+    a_scale, b_scale, x_scale, u_scale = (draw(scales) for _ in range(4))
+    rng = np.random.default_rng(draw(seeds))
+    dyn = LinearDynamics(a_scale * rng.normal(size=(n, n)), b_scale * rng.normal(size=(n, m)))
+    problem = ControlProblem(dyn, x_scale * rng.normal(size=n), np.zeros(n),
+                             rng.uniform(0.1, 5.0), k)
+    u = u_scale * rng.normal(size=(k, m))
+    if draw(st.booleans()):
+        row, col = draw(st.integers(0, k - 1)), draw(st.integers(0, m - 1))
+        u[row, col] = draw(st.sampled_from([np.inf, -np.inf, np.nan]))
+    return problem, u
 
 
 def draw_inputs(model, seed, k):
@@ -218,6 +265,38 @@ class TestEulerOnSampledControls:
             with pytest.raises(DivergenceError) as info:
                 integrate_euler(problem, controller)
             assert info.value.step == 7
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(linear_runs())
+    def test_scan_matches_per_step_reference(self, run):
+        problem, u = run
+        want, step = ref_euler(problem, u)
+        try:
+            got = integrate_euler(problem, u).states
+        except DivergenceError as err:
+            assert err.step == step
+        else:
+            assert step is None
+            if u.shape[1] == 1:
+                assert np.array_equal(got, want)
+            else:  # B u_k is one row of U B^T, not a per-step B @ u_k
+                scale = np.abs(want).max() or 1.0  # keeps the norms finite
+                assert_close(got / scale, want / scale)
+
+    @SETTINGS
+    @given(seeds, st.integers(1, 40))
+    def test_particle_matrices_are_the_hand_written_field(self, seed, k):
+        rng = np.random.default_rng(seed)
+        dyn = MovingParticleDynamics()
+        x, u = 10.0 ** rng.uniform(-3, 3) * rng.normal(size=2), rng.normal(size=1)
+        assert np.array_equal(dyn.A @ x + dyn.B @ u, [x[1], -x[1] + u[0]])
+        problem = ControlProblem(dyn, x, [1.0, 1.0], rng.uniform(0.1, 5.0), k)
+        us = 10.0 ** rng.uniform(-3, 3) * rng.normal(size=(k, 1))
+        want = [x]
+        for uk in us:
+            x = x + problem.dt * np.array([x[1], -x[1] + uk[0]])
+            want.append(x)
+        assert np.array_equal(integrate_euler(problem, us).states, want)
 
     def test_control_shape_checked(self):
         with pytest.raises(DimensionError):

@@ -212,6 +212,16 @@ class TestOcCommand:
         assert main(["oc", "--flow2d", "x0=1"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv", [
+        ["--scalar-linear", "a=0", "b=0"],
+        ["--scalar-linear", "a=1", "b=0"],
+        ["--scalar-linear", "T=0"],
+        ["--constant", "T=-1"],
+    ])
+    def test_bad_constants_are_config_errors(self, capsys, argv):
+        assert main(["oc", *argv]) == 2
+        assert "config error: oc:" in capsys.readouterr().err
+
 
 class TestTrainCommand:
     def test_writes_artifacts(self, tmp_path, capsys):
@@ -370,3 +380,10 @@ class TestExperimentCommands:
             main([])
         assert err.value.code == 2
         capsys.readouterr()
+
+    def test_workers_only_on_grid_commands(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "run.json", RUN_DOC)
+        with pytest.raises(SystemExit) as err:
+            main(["train", "--config", cfg, "--workers", "2"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err

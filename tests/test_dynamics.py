@@ -44,6 +44,10 @@ class TestProblemSetup:
         with pytest.raises(ValueError):
             ControlProblem(integrator(), [0.0], [1.0], 1.0, 0)
 
+    def test_dynamics_must_be_linear(self):
+        with pytest.raises(TypeError):
+            ControlProblem(object(), [0.0], [1.0], 1.0, 10)
+
     def test_linear_dynamics_validation(self):
         with pytest.raises(DimensionError):
             LinearDynamics([[1.0, 0.0]], [[1.0]])
