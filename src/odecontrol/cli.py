@@ -12,8 +12,10 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -31,8 +33,9 @@ from .config import (
     parse_project_config,
     parse_run_config,
     parse_sweep_config,
+    section,
 )
-from .dynamics import ControlProblem, integrator, rollout, scalar_linear
+from .dynamics import ControlProblem, integrator, scalar_linear
 from .experiments import (
     Axis,
     GridSpec,
@@ -82,19 +85,21 @@ def cmd_train(args) -> int:
     problem = build_problem(cfg.problem)
     model = build_model(cfg.network, out_dim=problem.dynamics.m)
     theta0 = init_params(model, cfg.network.init, SeededRng(seed))
-    res = train(
-        problem,
-        model,
-        theta0,
-        build_optimizer(cfg.training),
-        cfg.training.epochs,
-        protocol=cfg.training.protocol,
-        loss=build_loss(cfg.training),
-        seed=seed,
-        record_delta_u=cfg.training.record_delta_u,
-        record_energy_identity=cfg.training.record_energy_identity,
-        snapshot_stride=cfg.output.snapshot_stride,
-    )
+    # train rejects bad arguments before epoch 0, before anything is written
+    with section("training"):
+        res = train(
+            problem,
+            model,
+            theta0,
+            build_optimizer(cfg.training),
+            cfg.training.epochs,
+            protocol=cfg.training.protocol,
+            loss=build_loss(cfg.training),
+            seed=seed,
+            record_delta_u=cfg.training.record_delta_u,
+            record_energy_identity=cfg.training.record_energy_identity,
+            snapshot_stride=cfg.output.snapshot_stride,
+        )
     os.makedirs(outdir, exist_ok=True)
     res.history.to_csv(os.path.join(outdir, "history.csv"))
     _write(outdir, "best_theta.json", theta_to_json(model, res.theta_best))
@@ -134,17 +139,19 @@ def cmd_train(args) -> int:
                 ylabel="E",
             ),
         )
-        traj = rollout(problem, model, res.theta_best)
-        _write(
-            outdir,
-            "control.svg",
-            line_chart(
-                [("u", traj.times[:-1], traj.controls[:, 0])],
-                title="best-model control",
-                xlabel="t",
-                ylabel="u",
-            ),
-        )
+        traj = res.trajectory_best
+        # None when epoch 0 diverged: there is no best model to plot
+        if traj is not None:
+            _write(
+                outdir,
+                "control.svg",
+                line_chart(
+                    [("u", traj.times[:-1], traj.controls[:, 0])],
+                    title="best-model control",
+                    xlabel="t",
+                    ylabel="u",
+                ),
+            )
     print(f"loss_best={res.loss_best!r} best_epoch={res.best_epoch} -> {outdir}")
     return EXIT_DIVERGED if res.diverged else EXIT_OK
 
@@ -164,6 +171,8 @@ def _kv_floats(pairs, allowed: dict) -> dict:
             out[key] = float(val)
         except ValueError:
             raise ConfigError("oc", f"{key} needs a number, got {val!r}") from None
+        if not math.isfinite(out[key]):
+            raise ConfigError("oc", f"{key} needs a finite number, got {val!r}")
     return out
 
 
@@ -201,6 +210,8 @@ def cmd_oc(args) -> int:
         sol = oc_for_problem(problem)
     except ValueError as exc:
         raise ConfigError("oc", str(exc)) from None
+    except OverflowError as exc:
+        raise ConfigError("oc", f"the closed form overflows for these constants: {exc}") from None
     horizon = problem.T
     print(f"{sol.name} ({sol.functional_kind}) optimum={sol.value!r}")
     header = f"{'t':>8}  {'u*(t)':>24}  {'x*(t)':>24}"
@@ -220,7 +231,11 @@ def cmd_oc(args) -> int:
 def cmd_phase(args) -> int:
     cfg = parse_phase_config(load_json(args.config))
     outdir = _outdir(args, "out/phase")
-    grid = GridSpec(Axis("w0", *cfg.w0), Axis("b0", *cfg.b0))
+    with section("w0"):
+        w0 = Axis("w0", *cfg.w0)
+    with section("b0"):
+        b0 = Axis("b0", *cfg.b0)
+    grid = GridSpec(w0, b0)
     result = phase_diagram(
         cfg.kind,
         grid,
@@ -342,32 +357,38 @@ def cmd_project(args) -> int:
     problem = build_problem(cfg.problem)
     model = build_model(cfg.network, out_dim=problem.dynamics.m)
     if cfg.theta_file is not None:
-        with open(cfg.theta_file) as fh:
+        with open(cfg.theta_file) as fh, section("projection.theta_file"):
             theta_star = theta_from_json(fh.read(), model)
-        trained = None
     else:
-        theta0 = init_params(model, cfg.network.init, SeededRng(seed))
-        trained = train(
-            problem,
-            model,
-            theta0,
-            build_optimizer(cfg.training),
-            cfg.training.epochs,
-            protocol=cfg.training.protocol,
-            loss=build_loss(cfg.training),
-            seed=seed,
+        theta_star = init_params(model, cfg.network.init, SeededRng(seed))
+    # the directions depend on the parameter count only, so the grid is
+    # checked before training and recentred on the trained theta after it
+    with section("projection"):
+        spec = make_projection(
+            theta_star,
+            seed=cfg.direction_seed,
+            two_d=cfg.two_d,
+            alpha_range=cfg.alpha[:2],
+            alpha_count=cfg.alpha[2],
+            beta_range=cfg.beta[:2],
+            beta_count=cfg.beta[2],
         )
-        theta_star = trained.theta_best
-    spec = make_projection(
-        theta_star,
-        seed=cfg.direction_seed,
-        two_d=cfg.two_d,
-        alpha_range=cfg.alpha[:2],
-        alpha_count=cfg.alpha[2],
-        beta_range=cfg.beta[:2],
-        beta_count=cfg.beta[2],
-    )
-    sol = oc_for_problem(problem)
+    with section("problem"):
+        sol = oc_for_problem(problem)
+    trained = None
+    if cfg.theta_file is None:
+        with section("training"):
+            trained = train(
+                problem,
+                model,
+                theta_star,
+                build_optimizer(cfg.training),
+                cfg.training.epochs,
+                protocol=cfg.training.protocol,
+                loss=build_loss(cfg.training),
+                seed=seed,
+            )
+        spec = replace(spec, theta_star=trained.theta_best)
     result = project(spec, problem, model, sol.u_star, samples=cfg.samples,
                      workers=args.workers)
     _write(outdir, "projection.csv", result.to_csv())

@@ -2,13 +2,17 @@
 
 Configs are parsed strictly: every section is consumed key by key and any
 leftover key raises a ConfigError naming its dotted path, so typos fail
-before any computation starts. Parsing returns plain config dataclasses;
-build_* helpers turn them into live problem / model / optimizer objects.
+before any computation starts; numbers must be finite. Parsing returns plain
+config dataclasses; build_* helpers turn them into live problem / model /
+optimizer objects and report a value the library rejects as a ConfigError
+naming the section.
 """
 
 from __future__ import annotations
 
 import json
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .dynamics import ControlProblem, LinearDynamics, MovingParticleDynamics, integrator, scalar_linear
@@ -29,6 +33,18 @@ class ConfigError(ValueError):
     def __init__(self, path: str, message: str):
         self.path = path
         super().__init__(f"{path}: {message}" if path else message)
+
+
+@contextmanager
+def section(path: str):
+    """Report a ValueError the library raises inside the block as a
+    ConfigError at path."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from None
 
 
 _MISSING = object()
@@ -58,6 +74,8 @@ def _as_dict(value, path: str) -> dict:
 def _as_float(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN, inf, or an int beyond float range
+        raise ConfigError(path, f"expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -90,8 +108,14 @@ def _float_list(value, path: str) -> tuple[float, ...]:
 def _vector(value, path: str) -> tuple[float, ...]:
     """A state vector: a bare number is promoted to a length-1 vector."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return (float(value),)
+        return (_as_float(value, path),)
     return _float_list(value, path)
+
+
+def _matrix(value, path: str) -> tuple[tuple[float, ...], ...]:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(path, f"expected a non-empty list of rows, got {value!r}")
+    return tuple(_float_list(row, f"{path}[{i}]") for i, row in enumerate(value))
 
 
 def _int_list(value, path: str) -> tuple[int, ...]:
@@ -124,8 +148,8 @@ def parse_problem(raw: dict, path: str = "problem") -> ProblemConfig:
         a = _as_float(_take(d, "a", path), f"{path}.a")
         b = _as_float(_take(d, "b", path), f"{path}.b")
     elif kind == "linear":
-        a = _take(d, "a", path)
-        b = _take(d, "b", path)
+        a = _matrix(_take(d, "a", path), f"{path}.a")
+        b = _matrix(_take(d, "b", path), f"{path}.b")
     defaults = {
         "integrator": ((0.0,), (1.0,)),
         "scalar_linear": ((0.0,), (1.0,)),
@@ -147,17 +171,18 @@ def parse_problem(raw: dict, path: str = "problem") -> ProblemConfig:
 
 
 def build_problem(cfg: ProblemConfig) -> ControlProblem:
-    if cfg.kind == "integrator":
-        dyn = integrator()
-    elif cfg.kind == "scalar_linear":
-        dyn = scalar_linear(cfg.a, cfg.b)
-    elif cfg.kind == "linear":
-        dyn = LinearDynamics(cfg.a, cfg.b)
-    elif cfg.kind == "flow2d":
-        dyn = LinearDynamics([[1.0, 0.0], [1.0, 0.0]], [[1.0], [0.0]])
-    else:
-        dyn = MovingParticleDynamics()
-    return ControlProblem(dyn, list(cfg.x0), list(cfg.x_star), cfg.horizon, cfg.steps)
+    with section("problem"):
+        if cfg.kind == "integrator":
+            dyn = integrator()
+        elif cfg.kind == "scalar_linear":
+            dyn = scalar_linear(cfg.a, cfg.b)
+        elif cfg.kind == "linear":
+            dyn = LinearDynamics(cfg.a, cfg.b)
+        elif cfg.kind == "flow2d":
+            dyn = LinearDynamics([[1.0, 0.0], [1.0, 0.0]], [[1.0], [0.0]])
+        else:
+            dyn = MovingParticleDynamics()
+        return ControlProblem(dyn, list(cfg.x0), list(cfg.x_star), cfg.horizon, cfg.steps)
 
 
 @dataclass(frozen=True)
@@ -219,8 +244,9 @@ def build_model(cfg: NetworkConfig, out_dim: int = 1):
         return SingleNeuron(cfg.activation)
     if cfg.kind == "constant":
         return ConstantControl(out_dim=out_dim)
-    return MlpSpec(cfg.hidden, activation=cfg.activation, out_dim=out_dim,
-                   use_bias=cfg.use_bias)
+    with section("network"):
+        return MlpSpec(cfg.hidden, activation=cfg.activation, out_dim=out_dim,
+                       use_bias=cfg.use_bias)
 
 
 @dataclass(frozen=True)
@@ -268,15 +294,17 @@ def parse_training(raw: dict, path: str = "training") -> TrainingConfig:
 
 
 def build_optimizer(cfg: TrainingConfig):
-    return Adam(cfg.eta) if cfg.optimizer == "adam" else Sd(cfg.eta)
+    with section("training"):
+        return Adam(cfg.eta) if cfg.optimizer == "adam" else Sd(cfg.eta)
 
 
 def build_loss(cfg: TrainingConfig) -> LossSpec:
-    if cfg.cost == "terminal":
-        return LossSpec.terminal()
-    if cfg.cost == "energy":
-        return LossSpec.energy(cfg.mu)
-    return LossSpec.work(cfg.mu)
+    with section("training"):
+        if cfg.cost == "terminal":
+            return LossSpec.terminal()
+        if cfg.cost == "energy":
+            return LossSpec.energy(cfg.mu)
+        return LossSpec.work(cfg.mu)
 
 
 @dataclass(frozen=True)

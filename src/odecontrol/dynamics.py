@@ -237,26 +237,35 @@ def work_functional(traj: Trajectory) -> float:
     return traj.dt * float(v @ u)
 
 
-def mse_control(u_hat, u_star, samples: int, horizon: float) -> float:
-    """Mean squared control mismatch over t_i = i*T/M, i = 1..M.
-
-    u_hat may be a callable t -> control or a pre-sampled (M,) / (M, m)
-    array on that grid; u_star is a callable.
-    """
+def mse_times(samples: int, horizon: float) -> np.ndarray:
+    """The control-MSE grid t_i = i*T/M, i = 1..M."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    ts = np.arange(1, samples + 1) * (float(horizon) / samples)
-    if callable(u_hat):
-        uh = np.stack([np.atleast_1d(np.asarray(u_hat(t), dtype=np.float64)) for t in ts])
-    else:
-        uh = np.asarray(u_hat, dtype=np.float64)
-        if uh.ndim == 1:
-            uh = uh[:, None]
-        if uh.shape[0] != samples:
-            raise DimensionError(
-                f"u_hat has {uh.shape[0]} samples, expected {samples}"
-            )
-    us = np.stack([np.atleast_1d(np.asarray(u_star(t), dtype=np.float64)) for t in ts])
+    return np.arange(1, samples + 1) * (float(horizon) / samples)
+
+
+def sample_control(u, ts: np.ndarray, name: str) -> np.ndarray:
+    """(M, m) controls on the times ts: a callable t -> control is called once
+    per time, and an (M,) or (M, m) array is taken as sampled there already."""
+    if callable(u):
+        return np.stack([np.atleast_1d(np.asarray(u(t), dtype=np.float64)) for t in ts])
+    u = np.asarray(u, dtype=np.float64)
+    if u.ndim == 1:
+        u = u[:, None]
+    if u.shape[0] != ts.shape[0]:
+        raise DimensionError(f"{name} has {u.shape[0]} samples, expected {ts.shape[0]}")
+    return u
+
+
+def mse_control(u_hat, u_star, samples: int, horizon: float) -> float:
+    """Mean squared control mismatch over t_i = i*T/M, i = 1..M (mse_times).
+
+    Each of u_hat and u_star may be a callable t -> control or controls
+    already sampled on that grid (see sample_control).
+    """
+    ts = mse_times(samples, horizon)
+    uh = sample_control(u_hat, ts, "u_hat")
+    us = sample_control(u_star, ts, "u_star")
     if us.shape != uh.shape:
         raise DimensionError(f"control shapes differ: {uh.shape} vs {us.shape}")
     d = uh - us

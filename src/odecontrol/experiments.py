@@ -13,6 +13,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -20,11 +21,10 @@ from .dynamics import (
     ControlProblem,
     LinearDynamics,
     MovingParticleDynamics,
-    Trajectory,
     control_energy,
     integrator,
     mse_control,
-    rollout,
+    mse_times,
     scalar_linear,
     terminal_loss,
     work_functional,
@@ -351,12 +351,14 @@ def run_sweep_cell(cfg: SweepConfig, layers: int, max_neurons: int, seed: int) -
     )
     theta0 = init_params(model, cfg.init, SeededRng(seed))
     res = train(cfg.problem, model, theta0, cfg.optimizer, cfg.epochs)
-    traj = rollout(cfg.problem, model, res.theta_best)
-    u = traj.controls.ravel()
-    energy = control_energy(traj)
-    loss = terminal_loss(traj, cfg.problem.x_star)
-    mean_u = float(np.mean(u))
-    var_u = float(np.var(u))
+    traj = res.trajectory_best
+    energy = loss = mean_u = var_u = float("nan")  # no best model if epoch 0 diverged
+    if traj is not None:
+        u = traj.controls.ravel()
+        energy = control_energy(traj)
+        loss = terminal_loss(traj, cfg.problem.x_star)
+        mean_u = float(np.mean(u))
+        var_u = float(np.var(u))
     finite = all(np.isfinite(v) for v in (energy, loss, mean_u, var_u))
     return SweepCellResult(
         layers=layers,
@@ -370,10 +372,6 @@ def run_sweep_cell(cfg: SweepConfig, layers: int, max_neurons: int, seed: int) -
         epochs_run=len(res.history.loss),
         diverged=res.diverged or not finite,
     )
-
-
-def _sweep_cell_args(args) -> SweepCellResult:
-    return run_sweep_cell(*args)
 
 
 @dataclass(frozen=True)
@@ -434,16 +432,17 @@ def depth_width_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
             raise ValueError(
                 f"{L} layers with {min(cfg.max_neurons)} max neurons yields an empty layer"
             )
-    tasks = [
-        (cfg, L, N, cell_seed(cfg.base_seed, i, j))
+    layers, max_neurons, seeds = zip(*(
+        (L, N, cell_seed(cfg.base_seed, i, j))
         for i, L in enumerate(cfg.layers)
         for j, N in enumerate(cfg.max_neurons)
-    ]
+    ))
+    args = (repeat(cfg), layers, max_neurons, seeds)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(_sweep_cell_args, tasks, chunksize=1))
+            cells = list(pool.map(run_sweep_cell, *args, chunksize=1))
     else:
-        cells = [_sweep_cell_args(t) for t in tasks]
+        cells = list(map(run_sweep_cell, *args))
     return SweepResult(config=cfg, cells=tuple(cells))
 
 
@@ -467,8 +466,6 @@ def _problem_manifest(problem: ControlProblem) -> dict:
 class ProtocolComparison:
     bptt: TrainResult
     tbptt: TrainResult
-    bptt_trajectory: Trajectory
-    tbptt_trajectory: Trajectory
     bptt_vjps_per_epoch: float
     tbptt_vjps_per_epoch: float
     bptt_seconds_per_epoch: float
@@ -485,11 +482,11 @@ class ProtocolComparison:
 
     @property
     def bptt_energy(self) -> float:
-        return control_energy(self.bptt_trajectory)
+        return control_energy(self.bptt.trajectory_best)
 
     @property
     def tbptt_energy(self) -> float:
-        return control_energy(self.tbptt_trajectory)
+        return control_energy(self.tbptt.trajectory_best)
 
     def summary(self) -> dict:
         return {
@@ -541,16 +538,12 @@ def protocol_comparison(
           protocol=tbptt, seed=seed)
     sec_t = (time.perf_counter() - t0) / timing_epochs
 
-    traj_b = rollout(problem, model, res_b.theta_best)
-    traj_t = rollout(problem, model, res_t.theta_best)
     dyn = problem.dynamics
     estar = linear_nd_oc(dyn.A, dyn.B, problem.x0, problem.x_star,
                          problem.T).energy
     return ProtocolComparison(
         bptt=res_b,
         tbptt=res_t,
-        bptt_trajectory=traj_b,
-        tbptt_trajectory=traj_t,
         bptt_vjps_per_epoch=vjps_b,
         tbptt_vjps_per_epoch=vjps_t,
         bptt_seconds_per_epoch=sec_b,
@@ -626,7 +619,7 @@ def mu_sweep(
     for mu in mus:
         loss_spec = LossSpec.terminal() if mu == 0.0 else LossSpec.work(mu)
         res = train(problem, model, theta0, Adam(eta), epochs, loss=loss_spec)
-        traj = rollout(problem, model, res.theta_best)
+        traj = res.trajectory_best
         loss = terminal_loss(traj, problem.x_star)
         w = work_functional(traj)
         e = control_energy(traj)
@@ -669,10 +662,8 @@ def architecture_scan(
             model = MlpSpec((width,) * depth, activation=act, out_dim=1)
             theta0 = init_params(model, InitScheme.constant(1e-2))
             res = train(problem, model, theta0, Adam(eta), epochs)
-            traj = rollout(problem, model, res.theta_best)
-            loss = terminal_loss(traj, problem.x_star)
-            # the grid mse_control samples: t_i = i*T/M, i = 1..M
-            ts = np.arange(1, steps + 1) * (problem.T / steps)
+            loss = terminal_loss(res.trajectory_best, problem.x_star)
+            ts = mse_times(steps, problem.T)
             mse = mse_control(model.forward_batch(res.theta_best, ts),
                               sol.u_star, steps, problem.T)
             finite = np.isfinite(loss) and np.isfinite(mse)

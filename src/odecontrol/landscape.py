@@ -18,7 +18,10 @@ from .dynamics import (
     ControlProblem,
     DivergenceError,
     control_energy,
+    mse_control,
+    mse_times,
     rollout,
+    sample_control,
     terminal_loss,
 )
 from .linalg import SeededRng
@@ -116,8 +119,7 @@ def _eval_theta(problem, model, theta, ts, us) -> tuple[float, float, float]:
         return np.nan, np.nan, np.nan
     loss = terminal_loss(traj, problem.x_star)
     energy = control_energy(traj)
-    d = model.forward_batch(theta, ts) - us
-    mse = float(np.sum(d * d)) / ts.shape[0]  # same reduction as mse_control
+    mse = mse_control(model.forward_batch(theta, ts), us, ts.shape[0], problem.T)
     if not (np.isfinite(loss) and np.isfinite(mse) and np.isfinite(energy)):
         return np.nan, np.nan, np.nan
     return loss, mse, energy
@@ -187,10 +189,8 @@ def project(
     with worker pools); rows of fixed alpha then run independently.
     """
     alphas = spec.alphas()
-    ts = np.arange(1, samples + 1) * (problem.T / samples)
-    us = np.stack(
-        [np.atleast_1d(np.asarray(u_star(t), dtype=np.float64)) for t in ts]
-    )
+    ts = mse_times(samples, problem.T)
+    us = sample_control(u_star, ts, "u_star")
     tasks = [(spec, problem, model, ts, us, float(a)) for a in alphas]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

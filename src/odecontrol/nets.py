@@ -39,42 +39,31 @@ class Activation:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown activation kind {self.kind!r}")
-        # dispatch once; value/deriv sit on the hot path of every forward and vjp
-        if self.kind == "linear":
-            val = lambda z: z
-            der = lambda z: np.ones_like(z)
-        elif self.kind == "relu":
-            val = lambda z: np.maximum(z, 0.0)
-            der = lambda z: np.where(z > 0.0, 1.0, 0.0)
-        elif self.kind == "leaky_relu":
-            s = self.slope
-            val = lambda z: np.where(z > 0.0, z, s * z)
-            der = lambda z: np.where(z > 0.0, 1.0, s)
-        elif self.kind == "elu":
-            # expm1 on the clipped argument avoids overflow warnings for z >> 0
-            al = self.alpha
-            val = lambda z: np.where(z > 0.0, z, al * np.expm1(np.minimum(z, 0.0)))
-            der = lambda z: np.where(z > 0.0, 1.0, al * np.exp(np.minimum(z, 0.0)))
-        else:
-            val = np.tanh
-            der = lambda z: 1.0 / np.cosh(z) ** 2
-        object.__setattr__(self, "_val", val)
-        object.__setattr__(self, "_der", der)
-
-    def __getstate__(self):
-        return {"kind": self.kind, "slope": self.slope, "alpha": self.alpha}
-
-    def __setstate__(self, state):
-        object.__setattr__(self, "kind", state["kind"])
-        object.__setattr__(self, "slope", state["slope"])
-        object.__setattr__(self, "alpha", state["alpha"])
-        self.__post_init__()
 
     def value(self, z: np.ndarray) -> np.ndarray:
-        return self._val(np.asarray(z, dtype=np.float64))
+        z = np.asarray(z, dtype=np.float64)
+        if self.kind == "linear":
+            return z
+        if self.kind == "relu":
+            return np.maximum(z, 0.0)
+        if self.kind == "leaky_relu":
+            return np.where(z > 0.0, z, self.slope * z)
+        if self.kind == "elu":
+            # expm1 on the clipped argument avoids overflow warnings for z >> 0
+            return np.where(z > 0.0, z, self.alpha * np.expm1(np.minimum(z, 0.0)))
+        return np.tanh(z)
 
     def deriv(self, z: np.ndarray) -> np.ndarray:
-        return self._der(np.asarray(z, dtype=np.float64))
+        z = np.asarray(z, dtype=np.float64)
+        if self.kind == "linear":
+            return np.ones_like(z)
+        if self.kind == "relu":
+            return np.where(z > 0.0, 1.0, 0.0)
+        if self.kind == "leaky_relu":
+            return np.where(z > 0.0, 1.0, self.slope)
+        if self.kind == "elu":
+            return np.where(z > 0.0, 1.0, self.alpha * np.exp(np.minimum(z, 0.0)))
+        return 1.0 / np.cosh(z) ** 2
 
 
 LINEAR = Activation("linear")
@@ -90,32 +79,39 @@ def elu(alpha: float = 1.0) -> Activation:
     return Activation("elu", alpha=alpha)
 
 
-_BY_NAME = {
-    "linear": lambda p: LINEAR,
-    "relu": lambda p: RELU,
-    "tanh": lambda p: TANH,
-    "leaky_relu": lambda p: leaky_relu(float(p.get("slope", 0.01))),
-    "elu": lambda p: elu(float(p.get("alpha", 1.0))),
-}
+# the parameters each activation kind takes
+_PARAMS = {"linear": (), "relu": (), "tanh": (), "leaky_relu": ("slope",), "elu": ("alpha",)}
+_SHARED = {"linear": LINEAR, "relu": RELU, "tanh": TANH}
 
 
 def activation_from_config(cfg) -> Activation:
-    """Build an Activation from a config value: a name or {name, params}."""
+    """Build an Activation from a config value: a name or {name, params}.
+
+    A parameter the kind does not take is rejected, not ignored.
+    """
     if isinstance(cfg, Activation):
         return cfg
     if isinstance(cfg, str):
         name, params = cfg, {}
     elif isinstance(cfg, dict):
-        cfg = dict(cfg)
-        name = cfg.pop("name", None)
-        params = cfg
+        params = dict(cfg)
+        name = params.pop("name", None)
         if name is None:
             raise ValueError("activation config needs a 'name' field")
     else:
         raise ValueError(f"cannot parse activation from {cfg!r}")
-    if name not in _BY_NAME:
+    if name not in _PARAMS:
         raise ValueError(f"unknown activation {name!r}")
-    return _BY_NAME[name](params)
+    extra = sorted(set(params) - set(_PARAMS[name]))
+    if extra:
+        takes = ", ".join(_PARAMS[name]) or "no parameters"
+        raise ValueError(f"activation {name!r} takes {takes}; got {', '.join(extra)}")
+    if name in _SHARED:
+        return _SHARED[name]
+    for key, v in params.items():
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not np.isfinite(v):
+            raise ValueError(f"activation {name!r} needs a finite number for {key}, got {v!r}")
+    return Activation(name, **{key: float(v) for key, v in params.items()})
 
 
 @dataclass(frozen=True)
@@ -169,14 +165,13 @@ class MlpSpec:
 
     hidden lists the hidden-layer widths (may be empty for a bare affine
     readout). activation applies to every hidden layer unless a tuple with
-    one entry per hidden layer is given. The output layer defaults to Linear
-    so controls are unconstrained in sign and scale.
+    one entry per hidden layer is given. The output layer is linear, so
+    controls are unconstrained in sign and scale.
     """
 
     hidden: tuple[int, ...]
     activation: Activation | tuple[Activation, ...] = TANH
     out_dim: int = 1
-    out_activation: Activation = LINEAR
     use_bias: bool = True
 
     def __post_init__(self):
@@ -214,7 +209,7 @@ class MlpSpec:
             offs.append((w0, w1, b0, b1))
         object.__setattr__(self, "_shapes", shapes)
         object.__setattr__(self, "_offs", tuple(offs))
-        object.__setattr__(self, "_acts", acts + (self.out_activation,))
+        object.__setattr__(self, "_acts", acts + (LINEAR,))
         object.__setattr__(self, "_n_params", pos)
 
     def layer_shapes(self) -> list[tuple[int, int, bool]]:
@@ -251,7 +246,7 @@ class MlpSpec:
             if has_b:
                 z += theta[b0:b1]
             tape.append((a, z))
-            a = act._val(z)
+            a = act.value(z)
         return a, tape
 
     def forward(self, theta, t: float) -> np.ndarray:
@@ -275,7 +270,7 @@ class MlpSpec:
         grad = np.empty(self._n_params)
         for l in range(len(shapes) - 1, -1, -1):
             a_prev, z = tape[l]
-            g = g * acts[l]._der(z)
+            g = g * acts[l].deriv(z)
             fi, fo, has_b = shapes[l]
             w0, w1, b0, b1 = offs[l]
             grad[w0:w1] = (g.T @ a_prev).reshape(fi * fo)

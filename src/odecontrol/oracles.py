@@ -224,17 +224,10 @@ def oc_for_problem(problem) -> OcSolution:
         x0 = float(problem.x0[0])
         xs = float(problem.x_star[0])
         if a == 0.0:
-            if b != 1.0:
-                sol = constant_oc(x0 / b, xs / b, problem.T)
-                # x' = b u reduces to the integrator in scaled coordinates
-                u_fn = sol.u_star
-                return OcSolution(
-                    u_fn,
-                    lambda t: b * sol.x_star(t),
-                    sol.value,
-                    "energy",
-                    "constant_oc",
-                )
-            return constant_oc(x0, xs, problem.T)
+            # x' = b u reduces to the integrator in the coordinates x / b
+            sol = constant_oc(x0 / b, xs / b, problem.T)
+            return OcSolution(
+                sol.u_star, lambda t: b * sol.x_star(t), sol.value, "energy", "constant_oc"
+            )
         return scalar_linear_oc(a, b, x0, xs, problem.T)
     return linear_nd_oc(dyn.A, dyn.B, problem.x0, problem.x_star, problem.T)

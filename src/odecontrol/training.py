@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import ControlProblem, DivergenceError, control_energy, work_functional
+from .dynamics import ControlProblem, DivergenceError, Trajectory, control_energy
 from .gradients import GradResult, LossSpec, bptt_grad, tbptt_grad
 from .linalg import SeededRng
 
@@ -171,6 +171,9 @@ class TrainResult:
     loss_best: float
     best_epoch: int
     theta_final: np.ndarray
+    # the trajectory the loop computed at theta_best (epoch 0's until the loss
+    # first improves); None only when epoch 0 diverged
+    trajectory_best: Trajectory | None
     diverged: bool = False
     diverged_at: int | None = None  # epoch whose gradient pass diverged
     diverged_step: int | None = None  # integrator step at which it did
@@ -214,7 +217,6 @@ def train(
     seed: int = 0,
     record_delta_u: bool = False,
     record_energy_identity: bool = False,
-    delta_u_steps: int | None = None,
     snapshot_stride: int = 0,
 ) -> TrainResult:
     """Train a controller for a fixed number of epochs.
@@ -223,10 +225,18 @@ def train(
     update; theta_best is the iterate with the lowest recorded loss. The
     delta-u recorder needs a scalar linear flow (it integrates against
     e^{-at}); its steepest-descent prediction column stays NaN under Adam,
-    where the step is not -eta * grad.
+    where the step is not -eta * grad. Truncated gradients cover the
+    terminal loss only, so tbptt with an integrated cost is rejected.
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
+    if protocol.kind == "tbptt" and loss.integrated is not None:
+        raise ValueError(
+            f"tbptt gradients cover the terminal loss only; cannot train the "
+            f"{loss.integrated} cost"
+        )
+    if not isinstance(optimizer, (Sd, Adam)):
+        raise ValueError(f"unknown optimizer {optimizer!r}")
     theta = np.asarray(theta0, dtype=np.float64).copy()
     rng = SeededRng(seed)
     history = TrainHistory()
@@ -235,9 +245,9 @@ def train(
     coeffs = _scalar_linear_coeffs(problem)
     if record_delta_u and coeffs is None:
         raise ValueError("delta-u recorder needs a scalar linear-flow problem")
-    du_steps = delta_u_steps if delta_u_steps is not None else problem.steps
 
     theta_best = theta.copy()
+    traj_best = None
     loss_best = math.inf
     best_epoch = -1
     diverged = False
@@ -269,6 +279,9 @@ def train(
             energy_n = control_energy(res.trajectory)
             gnorm = float(np.sqrt(grad @ grad))
 
+        if loss_n < loss_best or epoch == 0:
+            # until the loss first improves, theta_best is epoch 0's theta0
+            traj_best = res.trajectory
         if loss_n < loss_best:
             loss_best = loss_n
             theta_best = theta.copy()
@@ -290,16 +303,14 @@ def train(
         with np.errstate(over="ignore", invalid="ignore"):
             if isinstance(optimizer, Sd):
                 theta_next = sd_step(theta, grad, optimizer.eta)
-            elif isinstance(optimizer, Adam):
-                adam_state, theta_next = adam_step(adam_state, theta, grad, optimizer)
             else:
-                raise ValueError(f"unknown optimizer {optimizer!r}")
+                adam_state, theta_next = adam_step(adam_state, theta, grad, optimizer)
 
         ddu = math.nan
         ddu_pred = math.nan
         if record_delta_u:
             a, b = coeffs
-            ddu = delta_u_weighted(model, theta, theta_next, a, problem.T, du_steps)
+            ddu = delta_u_weighted(model, theta, theta_next, a, problem.T, problem.steps)
             if isinstance(optimizer, Sd):
                 dtheta = theta_next - theta
                 dl_dxt = float(res.trajectory.final_state()[0] - problem.x_star[0])
@@ -321,6 +332,7 @@ def train(
         loss_best=loss_best,
         best_epoch=best_epoch,
         theta_final=theta,
+        trajectory_best=traj_best,
         diverged=diverged,
         diverged_at=diverged_at,
         diverged_step=diverged_step,

@@ -3,7 +3,9 @@ carry the dotted path of the offending field and exit with code 2 before
 anything is written; divergence keeps partial outputs and exits 3; reruns
 of the same config must produce byte-identical CSVs."""
 
+import copy
 import json
+import pathlib
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -22,6 +24,7 @@ from odecontrol.config import (
     parse_musweep_config,
     parse_phase_config,
     parse_problem,
+    parse_project_config,
     parse_run_config,
     parse_sweep_config,
     parse_training,
@@ -35,11 +38,33 @@ RUN_DOC = {
                 "init": {"kind": "constant", "value": 0.0}},
     "training": {"optimizer": "sd", "eta": 0.5, "epochs": 8},
 }
+PROJECT_DOC = {
+    "problem": {"kind": "integrator", "x_star": [-1.0], "steps": 20},
+    "network": {"hidden": [3], "init": {"kind": "constant", "value": 0.1}},
+    "training": {"optimizer": "sd", "eta": 0.1, "epochs": 2},
+    "projection": {"seed": 1, "alpha": {"lo": -0.1, "hi": 0.1, "count": 3},
+                   "samples": 5},
+}
+PHASE_DOC = {"kind": "linear", "w0": {"lo": -1.0, "hi": 1.0, "count": 3},
+             "b0": {"lo": -2.0, "hi": 0.0, "count": 3}, "epochs": 5}
 
 
 def write_json(path, doc) -> str:
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def edited(doc, **changes):
+    """A deep copy of doc with each change applied; a change's name is its
+    dotted path with the dots written as double underscores."""
+    doc = copy.deepcopy(doc)
+    for dotted, value in changes.items():
+        *parents, key = dotted.split("__")
+        node = doc
+        for p in parents:
+            node = node[p]
+        node[key] = value
+    return doc
 
 
 class TestRunConfigParsing:
@@ -128,6 +153,27 @@ class TestRunConfigParsing:
         cfg = parse_problem({"kind": "particle"})
         assert cfg.x0 == (0.0, 1.0)
         assert cfg.x_star == (1.0, 1.0)
+
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
+PARSERS = {
+    "train": parse_run_config,
+    "project": parse_project_config,
+    "phase": parse_phase_config,
+    "sweep": parse_sweep_config,
+    "musweep": parse_musweep_config,
+    "compare": parse_compare_config,
+}
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)
+def test_shipped_config_parses_and_builds(path):
+    cfg = PARSERS[path.stem.split("_")[0]](load_json(str(path)))
+    if hasattr(cfg, "network"):
+        problem = build_problem(cfg.problem)
+        build_model(cfg.network, out_dim=problem.dynamics.m)
+        build_optimizer(cfg.training)
+        build_loss(cfg.training)
 
 
 class TestLoadJson:
@@ -288,6 +334,20 @@ class TestTrainCommand:
         history = (outdir / "history.csv").read_text().strip().split("\n")
         assert len(history) == 1 + manifest["diverged_at"]
 
+    def test_epoch_0_divergence_exits_3_without_control_plot(self, tmp_path, capsys):
+        # x' = 1e6 x from x0 = 1 overflows within 100 Euler steps at epoch 0
+        doc = edited(RUN_DOC, problem={"kind": "scalar_linear", "a": 1e6, "b": 1.0,
+                                       "x0": 1.0, "x_star": 1.0},
+                     output={"plot": True})
+        cfg = write_json(tmp_path / "blowup.json", doc)
+        outdir = tmp_path / "blowup_out"
+        assert main(["train", "--config", cfg, "--out", str(outdir)]) == 3
+        capsys.readouterr()
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert manifest["diverged_at"] == 0 and manifest["best_epoch"] == -1
+        assert (outdir / "loss.svg").exists() and (outdir / "energy.svg").exists()
+        assert not (outdir / "control.svg").exists()
+
     def test_plot_writes_svgs(self, tmp_path, capsys):
         doc = json.loads(json.dumps(RUN_DOC))
         doc["output"] = {"plot": True}
@@ -300,11 +360,54 @@ class TestTrainCommand:
             assert root.tag.endswith("svg")
 
 
+class TestConfigErrorsExit2:
+    """Values the library rejects, non-finite numbers and settings that used
+    to be ignored all end as config errors: exit 2, nothing written."""
+
+    @pytest.mark.parametrize("command, doc, where", [
+        ("train", edited(RUN_DOC, training__epochs=0), "training"),
+        ("train", edited(RUN_DOC, training__eta=-1.0), "training"),
+        ("train", edited(RUN_DOC, problem__steps=0), "problem"),
+        ("train", edited(RUN_DOC, problem__horizon=0.0), "problem"),
+        ("train", edited(RUN_DOC, network={"hidden": [0]}), "network"),
+        ("train", edited(RUN_DOC, training__cost="energy", training__mu=-1.0), "training"),
+        ("phase", edited(PHASE_DOC, w0__count=1), "w0"),
+        ("project", edited(PROJECT_DOC, projection__alpha__count=2), "projection"),
+        ("train", edited(RUN_DOC, training__eta=float("nan")), "training.eta"),
+        ("train", edited(RUN_DOC, training__eta=10**400), "training.eta"),
+        ("train", edited(RUN_DOC, problem__x_star=float("inf")), "problem.x_star"),
+        ("train", edited(RUN_DOC, problem={"kind": "linear", "a": [[float("nan")]],
+                                           "b": [[1.0]], "x0": [0.0], "x_star": [1.0]}),
+         "problem.a[0][0]"),
+        ("train", edited(RUN_DOC, network={"hidden": [3],
+                                           "activation": {"name": "elu", "alhpa": 0.5}}),
+         "network.activation"),
+        ("train", edited(RUN_DOC, training__protocol="tbptt", training__cost="energy",
+                         training__mu=10.0), "training"),
+    ], ids=["epochs-0", "eta-negative", "steps-0", "horizon-0", "hidden-width-0",
+            "mu-negative", "phase-axis-count-1", "project-axis-count-2", "eta-nan",
+            "eta-beyond-float", "x-star-inf", "linear-a-nan", "activation-typo",
+            "tbptt-with-energy-cost"])
+    def test_config_command(self, tmp_path, capsys, command, doc, where):
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        outdir = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(outdir)]) == 2
+        assert f"config error: {where}:" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--constant", "T=inf"],
+        ["--scalar-linear", "a=nan"],
+        ["--scalar-linear", "a=1e308", "b=1"],
+    ])
+    def test_oc_non_finite_constants(self, capsys, argv):
+        assert main(["oc", *argv]) == 2
+        assert "config error: oc:" in capsys.readouterr().err
+
+
 class TestExperimentCommands:
     def test_phase_writes_grid(self, tmp_path, capsys):
-        doc = {"kind": "linear", "w0": {"lo": -1.0, "hi": 1.0, "count": 3},
-               "b0": {"lo": -2.0, "hi": 0.0, "count": 3}, "epochs": 5}
-        cfg = write_json(tmp_path / "phase.json", doc)
+        cfg = write_json(tmp_path / "phase.json", PHASE_DOC)
         outdir = tmp_path / "phase_out"
         assert main(["phase", "--config", cfg, "--out", str(outdir)]) == 0
         capsys.readouterr()
@@ -339,15 +442,7 @@ class TestExperimentCommands:
         assert float(lines[1].split(",")[0]) == 0.0
 
     def test_project_writes_grid_and_manifest(self, tmp_path, capsys):
-        doc = {
-            "problem": {"kind": "integrator", "x_star": [-1.0], "steps": 20},
-            "network": {"hidden": [3],
-                        "init": {"kind": "constant", "value": 0.1}},
-            "training": {"optimizer": "sd", "eta": 0.1, "epochs": 2},
-            "projection": {"seed": 1, "alpha": {"lo": -0.1, "hi": 0.1, "count": 3},
-                           "samples": 5},
-        }
-        cfg = write_json(tmp_path / "proj.json", doc)
+        cfg = write_json(tmp_path / "proj.json", PROJECT_DOC)
         outdir = tmp_path / "proj_out"
         assert main(["project", "--config", cfg, "--out", str(outdir)]) == 0
         capsys.readouterr()

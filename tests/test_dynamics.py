@@ -16,6 +16,8 @@ from odecontrol.dynamics import (
     integrate_euler,
     integrator,
     mse_control,
+    mse_times,
+    sample_control,
     scalar_linear,
     terminal_loss,
     validate_particle_constraints,
@@ -187,6 +189,20 @@ class TestMseControl:
         assert mse_control(pre, u_star, 20, 1.0) == pytest.approx(
             mse_control(u_hat, u_star, 20, 1.0)
         )
+
+    def test_either_side_may_be_presampled(self):
+        u_hat = lambda t: np.array([math.sin(3.0 * t)])
+        u_star = lambda t: np.array([t * t])
+        ts = mse_times(17, 1.3)
+        np.testing.assert_array_equal(ts, np.arange(1, 18) * (1.3 / 17))
+        want = mse_control(u_hat, u_star, 17, 1.3)
+        hat, star = sample_control(u_hat, ts, "u_hat"), sample_control(u_star, ts, "u_star")
+        assert hat.shape == star.shape == (17, 1)
+        assert mse_control(hat, u_star, 17, 1.3) == want
+        assert mse_control(u_hat, star, 17, 1.3) == want
+        assert mse_control(hat[:, 0], star, 17, 1.3) == want
+        with pytest.raises(DimensionError, match="u_star has 16 samples"):
+            mse_control(hat, star[1:], 17, 1.3)
 
     def test_against_closed_form_integral(self):
         # int_0^1 (u*(t) - c*)^2 dt = (3 - e) / ((e^2 - 1)(e - 1)) where

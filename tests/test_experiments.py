@@ -3,6 +3,7 @@ two-protocol benchmark, and the particle work-multiplier sweep. Settings are
 cut down hard; what is under test is orchestration: deterministic seeding,
 pool/serial equality, and CSV/manifest round trips."""
 
+import dataclasses
 import json
 import math
 
@@ -28,6 +29,7 @@ from odecontrol.experiments import (
     sweep_preset,
     time_dependent_problem,
 )
+from odecontrol.nets import InitScheme
 
 
 class TestProblemFactories:
@@ -232,6 +234,22 @@ class TestDepthWidthSweep:
                            epochs=1, steps=10)
         with pytest.raises(ValueError, match="empty layer"):
             depth_width_sweep(cfg)
+
+    def test_epoch_0_divergence_is_a_flagged_cell(self):
+        # 1e307 weights and biases overflow the elu net's output, so every
+        # cell diverges in its first gradient pass and has no best model
+        cfg = dataclasses.replace(
+            sweep_preset("time_dependent", layers=(1, 2), max_neurons=(4,),
+                         epochs=3, steps=20),
+            init=InitScheme.constant(1e307),
+        )
+        res = depth_width_sweep(cfg)
+        assert len(res.cells) == 2
+        for cell in res.cells:
+            assert cell.diverged and cell.epochs_run == 0
+            assert all(math.isnan(v) for v in (cell.energy, cell.loss, cell.mean_u, cell.var_u))
+        # NaN != NaN, so compare the printed cells
+        assert repr(run_sweep_cell(cfg, 2, 4, res.cell(2, 4).seed)) == repr(res.cell(2, 4))
 
     def test_cell_width_validation(self):
         cfg = tiny_sweep()

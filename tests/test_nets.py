@@ -75,10 +75,24 @@ class TestActivation:
         assert activation_from_config("tanh") is TANH
         act = activation_from_config({"name": "leaky_relu", "slope": 0.2})
         assert act.kind == "leaky_relu" and act.slope == 0.2
+        assert activation_from_config({"name": "relu"}) is RELU
+        assert activation_from_config({"name": "elu", "alpha": 0.5}) == elu(0.5)
         with pytest.raises(ValueError):
             activation_from_config({"slope": 0.2})
         with pytest.raises(ValueError):
             activation_from_config("gelu")
+
+    @pytest.mark.parametrize("cfg", [
+        {"name": "elu", "alhpa": 0.5},
+        {"name": "tanh", "slope": 0.1},
+        {"name": "leaky_relu", "alpha": 0.1},
+        {"name": "elu", "alpha": "0.5"},
+        {"name": "elu", "alpha": float("nan")},
+        {"name": "leaky_relu", "slope": None},
+    ])
+    def test_from_config_rejects_parameters_the_kind_does_not_take(self, cfg):
+        with pytest.raises(ValueError, match="activation"):
+            activation_from_config(cfg)
 
     def test_pickle_round_trip(self):
         act = pickle.loads(pickle.dumps(elu(0.7)))

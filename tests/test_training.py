@@ -182,6 +182,53 @@ class TestTrainLoop:
         assert [e for e, _ in res.history.snapshots] == [0, 4, 8]
 
 
+def assert_same_trajectory(got, want):
+    for name in ("times", "states", "controls"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+class TestTrajectoryBest:
+    def test_bptt_best_trajectory_is_the_rollout_at_theta_best(self):
+        problem = ControlProblem(scalar_linear(1.0, 1.0), [0.0], [1.0], 1.0, 30)
+        model = MlpSpec((5,), activation=elu())
+        theta0 = init_params(model, InitScheme.uniform(), SeededRng(2))
+        res = train(problem, model, theta0, Adam(0.05), 25, loss=LossSpec.energy(0.1))
+        assert res.best_epoch > 0
+        assert_same_trajectory(res.trajectory_best, rollout(problem, model, res.theta_best))
+
+    def test_tbptt_best_trajectory_is_the_rollout_at_theta_best(self):
+        problem = ControlProblem(scalar_linear(1.0, 1.0), [0.0], [1.0], 1.0, 30)
+        model = MlpSpec((5,), activation=elu())
+        theta0 = init_params(model, InitScheme.uniform(), SeededRng(2))
+        res = train(problem, model, theta0, Adam(0.05), 25,
+                    protocol=Protocol("tbptt", "propagated", "random"), seed=3)
+        assert res.best_epoch > 0
+        assert_same_trajectory(res.trajectory_best, rollout(problem, model, res.theta_best))
+
+    def test_run_that_never_improves_keeps_epoch_0_trajectory(self):
+        # states near 1e200 are finite but the loss overflows to inf every
+        # epoch, so no epoch improves on the initial inf
+        problem = quick_problem()
+        model = ConstantControl()
+        with np.errstate(over="ignore"):
+            res = train(problem, model, np.array([1e200]), Sd(1e-300), 4)
+        assert res.best_epoch == -1 and not res.diverged
+        assert_same_trajectory(res.trajectory_best, rollout(problem, model, res.theta_best))
+
+    def test_epoch_0_divergence_has_no_best_trajectory(self):
+        # x' = 1e6 x from x0 = 1 overflows within 100 Euler steps
+        problem = ControlProblem(scalar_linear(1e6, 1.0), [1.0], [1.0], 1.0, 100)
+        res = train(problem, ConstantControl(), np.zeros(1), Sd(0.1), 4)
+        assert res.diverged and res.diverged_at == 0
+        assert res.trajectory_best is None
+
+    @pytest.mark.parametrize("loss", [LossSpec.energy(10.0), LossSpec.work(0.1)])
+    def test_tbptt_rejects_integrated_cost(self, loss):
+        with pytest.raises(ValueError, match="terminal loss only"):
+            train(quick_problem(), ConstantControl(), np.zeros(1), Sd(0.1), 3,
+                  protocol=Protocol("tbptt"), loss=loss)
+
+
 class TestRecorders:
     def test_delta_u_columns_under_sd(self):
         problem = ControlProblem(scalar_linear(1.0, 1.0), [0.0], [1.0], 1.0, 50)
