@@ -98,7 +98,6 @@ def cmd_train(args) -> int:
             seed=seed,
             record_delta_u=cfg.training.record_delta_u,
             record_energy_identity=cfg.training.record_energy_identity,
-            snapshot_stride=cfg.output.snapshot_stride,
         )
     os.makedirs(outdir, exist_ok=True)
     res.history.to_csv(os.path.join(outdir, "history.csv"))
@@ -282,6 +281,8 @@ def cmd_sweep(args) -> int:
         base_seed=base_seed,
         steps=cli.steps,
     )
+    with section("layers"):  # the preset fills in the axes the config leaves out
+        cfg.check()
     result = depth_width_sweep(cfg, workers=args.workers)
     _write(outdir, "grid.csv", result.to_csv())
     _write_manifest(outdir, {"command": "sweep", **result.manifest()})

@@ -2,10 +2,13 @@
 
 Configs are parsed strictly: every section is consumed key by key and any
 leftover key raises a ConfigError naming its dotted path, so typos fail
-before any computation starts; numbers must be finite. Parsing returns plain
-config dataclasses; build_* helpers turn them into live problem / model /
-optimizer objects and report a value the library rejects as a ConfigError
-naming the section.
+before any computation starts; numbers must be finite. A key is read only
+where it changes the run (network.bias for an mlp, training.mu for an
+integrated cost, ...), so set elsewhere it is a leftover key too. Parsing
+returns plain config dataclasses; build_* helpers turn them into live
+problem / model / optimizer objects and report a value the library rejects
+as a ConfigError naming the section. The flat experiment configs run the
+library's checks on their values while parsing.
 """
 
 from __future__ import annotations
@@ -15,8 +18,10 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from .dynamics import ControlProblem, LinearDynamics, MovingParticleDynamics, integrator, scalar_linear
+from .dynamics import ControlProblem, LinearDynamics, integrator, scalar_linear
+from .experiments import SWEEP_PRESETS, flow2d_problem, particle_problem
 from .gradients import LossSpec
+from .linalg import check_count
 from .nets import (
     ConstantControl,
     InitScheme,
@@ -24,7 +29,7 @@ from .nets import (
     SingleNeuron,
     activation_from_config,
 )
-from .training import Adam, Protocol, Sd
+from .training import Adam, Protocol, Sd, check_eta
 
 
 class ConfigError(ValueError):
@@ -45,6 +50,13 @@ def section(path: str):
         raise
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from None
+
+
+def _check(path: str, check, *args) -> None:
+    """Run a library check on parsed values, so that a value the library
+    would reject fails at parse time, before any run starts."""
+    with section(path):
+        check(*args)
 
 
 _MISSING = object()
@@ -127,6 +139,7 @@ def _int_list(value, path: str) -> tuple[int, ...]:
 # -- sections -----------------------------------------------------------------
 
 _PROBLEM_KINDS = ("integrator", "scalar_linear", "linear", "flow2d", "particle")
+_BENCHMARKS = {"flow2d": flow2d_problem, "particle": particle_problem}
 
 
 @dataclass(frozen=True)
@@ -150,20 +163,17 @@ def parse_problem(raw: dict, path: str = "problem") -> ProblemConfig:
     elif kind == "linear":
         a = _matrix(_take(d, "a", path), f"{path}.a")
         b = _matrix(_take(d, "b", path), f"{path}.b")
-    defaults = {
-        "integrator": ((0.0,), (1.0,)),
-        "scalar_linear": ((0.0,), (1.0,)),
-        "linear": (None, None),
-        "flow2d": ((0.5, 0.5), (1.0, -1.0)),
-        "particle": ((0.0, 1.0), (1.0, 1.0)),
-    }
-    dx0, dxs = defaults[kind]
+    if kind in _BENCHMARKS:
+        bench = _BENCHMARKS[kind]()
+        dx0, dxs = bench.x0.tolist(), bench.x_star.tolist()
+    else:
+        dx0, dxs = (None, None) if kind == "linear" else ([0.0], [1.0])
     x0_raw = _take(d, "x0", path, dx0)
     xs_raw = _take(d, "x_star", path, dxs)
     if x0_raw is None or xs_raw is None:
         raise ConfigError(path, "linear problems need explicit x0 and x_star")
-    x0 = _vector(list(x0_raw) if isinstance(x0_raw, tuple) else x0_raw, f"{path}.x0")
-    xs = _vector(list(xs_raw) if isinstance(xs_raw, tuple) else xs_raw, f"{path}.x_star")
+    x0 = _vector(x0_raw, f"{path}.x0")
+    xs = _vector(xs_raw, f"{path}.x_star")
     horizon = _as_float(_take(d, "horizon", path, 1.0), f"{path}.horizon")
     steps = _as_int(_take(d, "steps", path, 100), f"{path}.steps")
     _done(d, path)
@@ -178,10 +188,8 @@ def build_problem(cfg: ProblemConfig) -> ControlProblem:
             dyn = scalar_linear(cfg.a, cfg.b)
         elif cfg.kind == "linear":
             dyn = LinearDynamics(cfg.a, cfg.b)
-        elif cfg.kind == "flow2d":
-            dyn = LinearDynamics([[1.0, 0.0], [1.0, 0.0]], [[1.0], [0.0]])
         else:
-            dyn = MovingParticleDynamics()
+            dyn = _BENCHMARKS[cfg.kind]().dynamics
         return ControlProblem(dyn, list(cfg.x0), list(cfg.x_star), cfg.horizon, cfg.steps)
 
 
@@ -189,7 +197,7 @@ def build_problem(cfg: ProblemConfig) -> ControlProblem:
 class NetworkConfig:
     kind: str = "mlp"  # mlp | single_neuron | constant
     hidden: tuple[int, ...] = (6, 6)
-    activation: object = "elu"
+    activation: object = "elu"  # None for a constant control
     use_bias: bool = True
     init: InitScheme = InitScheme.constant(0.1)
 
@@ -222,15 +230,15 @@ def parse_network(raw: dict, path: str = "network") -> NetworkConfig:
     kind = _as_str(
         _take(d, "kind", path, "mlp"), f"{path}.kind", ("mlp", "single_neuron", "constant")
     )
-    hidden = ()
+    # hidden and bias shape an mlp only, and a constant control has no activation
+    hidden, activation, use_bias = (), None, True
     if kind == "mlp":
         hidden = _int_list(_take(d, "hidden", path), f"{path}.hidden")
-    act_raw = _take(d, "activation", path, "elu" if kind == "mlp" else "linear")
-    try:
-        activation = activation_from_config(act_raw)
-    except ValueError as exc:
-        raise ConfigError(f"{path}.activation", str(exc)) from exc
-    use_bias = _as_bool(_take(d, "bias", path, True), f"{path}.bias")
+        use_bias = _as_bool(_take(d, "bias", path, True), f"{path}.bias")
+    if kind != "constant":
+        act_raw = _take(d, "activation", path, "elu" if kind == "mlp" else "linear")
+        with section(f"{path}.activation"):
+            activation = activation_from_config(act_raw)
     init_raw = _take(d, "init", path, {"kind": "constant", "value": 0.1})
     init = parse_init(init_raw, f"{path}.init")
     _done(d, path)
@@ -270,21 +278,22 @@ def parse_training(raw: dict, path: str = "training") -> TrainingConfig:
     epochs = _as_int(_take(d, "epochs", path, 100), f"{path}.epochs")
     seed = _as_int(_take(d, "seed", path, 0), f"{path}.seed")
     proto_raw = _take(d, "protocol", path, "bptt")
-    if isinstance(proto_raw, str):
-        proto_d = {"kind": proto_raw}
-    else:
-        proto_d = _as_dict(proto_raw, f"{path}.protocol")
-    pk = _as_str(_take(proto_d, "kind", f"{path}.protocol", "bptt"),
-                 f"{path}.protocol.kind", ("bptt", "tbptt"))
-    variant = _as_str(_take(proto_d, "variant", f"{path}.protocol", "propagated"),
-                      f"{path}.protocol.variant", ("frozen", "propagated"))
-    schedule = _as_str(_take(proto_d, "schedule", f"{path}.protocol", "cyclic"),
-                       f"{path}.protocol.schedule", ("cyclic", "random"))
-    _done(proto_d, f"{path}.protocol")
-    protocol = Protocol(pk, variant, schedule)
+    pp = f"{path}.protocol"
+    proto_d = {"kind": proto_raw} if isinstance(proto_raw, str) else _as_dict(proto_raw, pp)
+    pk = _as_str(_take(proto_d, "kind", pp, "bptt"), f"{pp}.kind", ("bptt", "tbptt"))
+    protocol = Protocol(pk)
+    if pk == "tbptt":  # variant and schedule shape a truncated gradient only
+        variant = _as_str(_take(proto_d, "variant", pp, "propagated"), f"{pp}.variant",
+                          ("frozen", "propagated"))
+        schedule = _as_str(_take(proto_d, "schedule", pp, "cyclic"), f"{pp}.schedule",
+                           ("cyclic", "random"))
+        protocol = Protocol(pk, variant, schedule)
+    _done(proto_d, pp)
     cost = _as_str(_take(d, "cost", path, "terminal"), f"{path}.cost",
                    ("terminal", "energy", "work"))
-    mu = _as_float(_take(d, "mu", path, 0.0), f"{path}.mu")
+    mu = 0.0
+    if cost != "terminal":  # mu weighs an integrated cost
+        mu = _as_float(_take(d, "mu", path, 0.0), f"{path}.mu")
     rec_du = _as_bool(_take(d, "record_delta_u", path, False), f"{path}.record_delta_u")
     rec_ei = _as_bool(_take(d, "record_energy_identity", path, False),
                       f"{path}.record_energy_identity")
@@ -310,17 +319,15 @@ def build_loss(cfg: TrainingConfig) -> LossSpec:
 @dataclass(frozen=True)
 class OutputConfig:
     directory: str = "out"
-    snapshot_stride: int = 0
     plot: bool = False
 
 
 def parse_output(raw: dict, path: str = "output") -> OutputConfig:
     d = _as_dict(raw, path)
     directory = _as_str(_take(d, "directory", path, "out"), f"{path}.directory")
-    stride = _as_int(_take(d, "snapshot_stride", path, 0), f"{path}.snapshot_stride")
     plot = _as_bool(_take(d, "plot", path, False), f"{path}.plot")
     _done(d, path)
-    return OutputConfig(directory, stride, plot)
+    return OutputConfig(directory, plot)
 
 
 @dataclass(frozen=True)
@@ -391,12 +398,17 @@ def parse_phase_config(doc: dict) -> PhaseConfig:
     w0 = _axis_triple(_take(d, "w0", "", {}), "w0", -2.0, 2.0, 41)
     b0 = _axis_triple(_take(d, "b0", "", {}), "b0", -2.0, 2.0, 41)
     eta = _as_float(_take(d, "eta", "", 0.1), "eta")
+    _check("eta", check_eta, eta)
     epochs = _as_int(_take(d, "epochs", "", 300), "epochs")
+    _check("epochs", check_count, "epochs", epochs)
     horizon = _as_float(_take(d, "horizon", "", 1.0), "horizon")
     x0 = _as_float(_take(d, "x0", "", 0.0), "x0")
     x_star = _as_float(_take(d, "x_star", "", -1.0), "x_star")
     method = _as_str(_take(d, "method", "", "map"), "method", ("map", "train_adam"))
-    steps = _as_int(_take(d, "steps", "", 100), "steps")
+    steps = PhaseConfig.steps
+    if method == "train_adam":  # the map method never runs the simulator
+        steps = _as_int(_take(d, "steps", "", steps), "steps")
+        _check("steps", check_count, "steps", steps)
     plot = _as_bool(_take(d, "plot", "", False), "plot")
     _done(d, "")
     return PhaseConfig(kind, w0, b0, eta, epochs, horizon, x0, x_star, method,
@@ -416,16 +428,18 @@ class SweepCliConfig:
 
 def parse_sweep_config(doc: dict) -> SweepCliConfig:
     d = _as_dict(doc, "")
-    preset = _as_str(_take(d, "preset", ""), "preset",
-                     ("constant", "time_dependent", "flow2d"))
+    preset = _as_str(_take(d, "preset", ""), "preset", tuple(SWEEP_PRESETS))
     layers_raw = _take(d, "layers", "", None)
     layers = None if layers_raw is None else _int_list(layers_raw, "layers")
     maxn_raw = _take(d, "max_neurons", "", None)
     max_neurons = None if maxn_raw is None else _int_list(maxn_raw, "max_neurons")
     epochs_raw = _take(d, "epochs", "", None)
     epochs = None if epochs_raw is None else _as_int(epochs_raw, "epochs")
+    if epochs is not None:
+        _check("epochs", check_count, "epochs", epochs)
     base_seed = _as_int(_take(d, "base_seed", "", 0), "base_seed")
     steps = _as_int(_take(d, "steps", "", 100), "steps")
+    _check("steps", check_count, "steps", steps)
     plot = _as_bool(_take(d, "plot", "", False), "plot")
     _done(d, "")
     return SweepCliConfig(preset, layers, max_neurons, epochs, base_seed, steps, plot)
@@ -444,10 +458,15 @@ class MuSweepConfig:
 def parse_musweep_config(doc: dict) -> MuSweepConfig:
     d = _as_dict(doc, "")
     mus = _float_list(_take(d, "mus", ""), "mus")
+    for i, mu in enumerate(mus):
+        _check(f"mus[{i}]", LossSpec.work, mu)
     epochs = _as_int(_take(d, "epochs", "", 100), "epochs")
+    _check("epochs", check_count, "epochs", epochs)
     eta = _as_float(_take(d, "eta", "", 0.1), "eta")
+    _check("eta", check_eta, eta)
     seed = _as_int(_take(d, "seed", "", 0), "seed")
     steps = _as_int(_take(d, "steps", "", 100), "steps")
+    _check("steps", check_count, "steps", steps)
     plot = _as_bool(_take(d, "plot", "", False), "plot")
     _done(d, "")
     return MuSweepConfig(mus, epochs, eta, seed, steps, plot)
@@ -477,9 +496,12 @@ def parse_project_config(doc: dict) -> ProjectionCliConfig:
     two_d = _as_bool(_take(pd, "two_d", "projection", False), "projection.two_d")
     alpha = _axis_triple(_take(pd, "alpha", "projection", {}), "projection.alpha",
                          -0.4, 0.4, 101)
-    beta = _axis_triple(_take(pd, "beta", "projection", {}), "projection.beta",
-                        -0.4, 0.4, 101)
+    beta = ProjectionCliConfig.beta
+    if two_d:
+        beta = _axis_triple(_take(pd, "beta", "projection", {}), "projection.beta",
+                            -0.4, 0.4, 101)
     samples = _as_int(_take(pd, "samples", "projection", 100), "projection.samples")
+    _check("projection.samples", check_count, "samples", samples)
     theta_raw = _take(pd, "theta_file", "projection", None)
     theta_file = None if theta_raw is None else _as_str(theta_raw, "projection.theta_file")
     _done(pd, "projection")
@@ -505,12 +527,18 @@ def parse_compare_config(doc: dict) -> CompareConfig:
     d = _as_dict(doc, "")
     hidden_raw = _take(d, "hidden", "", None)
     hidden = (14, 14) if hidden_raw is None else _int_list(hidden_raw, "hidden")
+    _check("hidden", MlpSpec, hidden)
     epochs = _as_int(_take(d, "epochs", "", 1000), "epochs")
+    _check("epochs", check_count, "epochs", epochs)
     eta_bptt = _as_float(_take(d, "eta_bptt", "", 3e-3), "eta_bptt")
+    _check("eta_bptt", check_eta, eta_bptt)
     eta_tbptt = _as_float(_take(d, "eta_tbptt", "", 5e-3), "eta_tbptt")
+    _check("eta_tbptt", check_eta, eta_tbptt)
     seed = _as_int(_take(d, "seed", "", 0), "seed")
     timing_epochs = _as_int(_take(d, "timing_epochs", "", 200), "timing_epochs")
+    _check("timing_epochs", check_count, "timing_epochs", timing_epochs)
     steps = _as_int(_take(d, "steps", "", 100), "steps")
+    _check("steps", check_count, "steps", steps)
     plot = _as_bool(_take(d, "plot", "", False), "plot")
     _done(d, "")
     return CompareConfig(hidden, epochs, eta_bptt, eta_tbptt, seed, timing_epochs,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DimensionError, as_matrix, as_vector
+from .linalg import DimensionError, as_matrix, as_vector, check_count
 
 
 class DivergenceError(RuntimeError):
@@ -93,8 +93,7 @@ class ControlProblem:
             )
         if self.T <= 0.0:
             raise ValueError(f"T must be positive, got {self.T}")
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
+        check_count("steps", self.steps)
 
     @property
     def dt(self) -> float:
@@ -239,8 +238,7 @@ def work_functional(traj: Trajectory) -> float:
 
 def mse_times(samples: int, horizon: float) -> np.ndarray:
     """The control-MSE grid t_i = i*T/M, i = 1..M."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    check_count("samples", samples)
     return np.arange(1, samples + 1) * (float(horizon) / samples)
 
 

@@ -30,7 +30,7 @@ from .dynamics import (
     work_functional,
 )
 from .gradients import LossSpec, reset_vjp_count, vjp_count
-from .linalg import SeededRng
+from .linalg import SeededRng, check_count
 from .nets import (
     RELU,
     TANH,
@@ -43,7 +43,7 @@ from .nets import (
     leaky_relu,
 )
 from .oracles import linear_nd_oc, linear_neuron_map, moving_particle_oc, relu_neuron_map
-from .training import Adam, Protocol, Sd, TrainResult, train
+from .training import Adam, Protocol, Sd, TrainResult, check_eta, train
 
 
 def constant_problem(steps: int = 100) -> ControlProblem:
@@ -91,6 +91,9 @@ class Axis:
     def values(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.count)
 
+    def manifest(self) -> dict:
+        return {"lo": self.lo, "hi": self.hi, "count": self.count}
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -127,12 +130,8 @@ class PhaseResult:
         return {
             "experiment": "phase_diagram",
             "kind": self.kind,
-            "grid": {
-                "x": {"name": self.grid.x.name, "lo": self.grid.x.lo,
-                      "hi": self.grid.x.hi, "count": self.grid.x.count},
-                "y": {"name": self.grid.y.name, "lo": self.grid.y.lo,
-                      "hi": self.grid.y.hi, "count": self.grid.y.count},
-            },
+            "grid": {"x": {"name": self.grid.x.name, **self.grid.x.manifest()},
+                     "y": {"name": self.grid.y.name, **self.grid.y.manifest()}},
             "eta": self.eta,
             "epochs": self.epochs,
             "horizon": self.horizon,
@@ -183,6 +182,8 @@ def phase_diagram(
         raise ValueError(f"kind must be 'linear' or 'relu', got {kind!r}")
     if method not in ("map", "train_adam"):
         raise ValueError(f"method must be 'map' or 'train_adam', got {method!r}")
+    check_eta(eta)
+    check_count("epochs", epochs)
     if grid is None:
         grid = GridSpec(Axis("w0", -2.0, 2.0, 41), Axis("b0", -2.0, 2.0, 41))
     bstar = (xstar - x0) / horizon
@@ -277,8 +278,17 @@ class SweepConfig:
     base_seed: int = 0
     name: str = "custom"
 
+    def check(self) -> None:
+        """Reject a grid in which some cell would have an empty hidden layer."""
+        for L in self.layers:
+            check_count("layers", L)
+            if min(self.max_neurons) // L < 1:
+                raise ValueError(
+                    f"{L} layers with {min(self.max_neurons)} max neurons yields an empty layer"
+                )
 
-_SWEEP_PRESETS = {
+
+SWEEP_PRESETS = {
     "constant": dict(
         problem=constant_problem,
         activation=TANH,
@@ -318,9 +328,9 @@ def sweep_preset(
     steps: int = 100,
 ) -> SweepConfig:
     """Named depth/width sweep setups; axes and epochs can be overridden."""
-    if name not in _SWEEP_PRESETS:
-        raise ValueError(f"unknown sweep preset {name!r}; have {sorted(_SWEEP_PRESETS)}")
-    p = _SWEEP_PRESETS[name]
+    if name not in SWEEP_PRESETS:
+        raise ValueError(f"unknown sweep preset {name!r}; have {sorted(SWEEP_PRESETS)}")
+    p = SWEEP_PRESETS[name]
     return SweepConfig(
         problem=p["problem"](steps),
         activation=p["activation"],
@@ -410,8 +420,7 @@ class SweepResult:
             "optimizer": {"name": "adam", "eta": cfg.optimizer.eta},
             "layers": list(cfg.layers),
             "max_neurons": list(cfg.max_neurons),
-            "init": {"kind": cfg.init.kind, "bound_rule": cfg.init.bound_rule,
-                     "scale": cfg.init.scale, "bias_value": cfg.init.bias_value},
+            "init": _init_manifest(cfg.init),
             "base_seed": cfg.base_seed,
             "cell_seeds": [
                 [cell_seed(cfg.base_seed, i, j) for j in range(len(cfg.max_neurons))]
@@ -427,11 +436,7 @@ def depth_width_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
     are stored row-major over (layers, max_neurons) regardless of completion
     order. A diverged cell is flagged and the sweep continues.
     """
-    for L in cfg.layers:
-        if min(cfg.max_neurons) // L < 1:
-            raise ValueError(
-                f"{L} layers with {min(cfg.max_neurons)} max neurons yields an empty layer"
-            )
+    cfg.check()
     layers, max_neurons, seeds = zip(*(
         (L, N, cell_seed(cfg.base_seed, i, j))
         for i, L in enumerate(cfg.layers)
@@ -444,6 +449,11 @@ def depth_width_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
     else:
         cells = list(map(run_sweep_cell, *args))
     return SweepResult(config=cfg, cells=tuple(cells))
+
+
+def _init_manifest(init: InitScheme) -> dict:
+    return {"kind": init.kind, "bound_rule": init.bound_rule, "scale": init.scale,
+            "bias_value": init.bias_value}
 
 
 def _problem_manifest(problem: ControlProblem) -> dict:
@@ -519,23 +529,25 @@ def protocol_comparison(
     if problem is None:
         problem = flow2d_problem()
     model = MlpSpec(hidden, activation=elu(), out_dim=problem.dynamics.m)
+    # every argument is checked before the first run starts
+    opt_b, opt_t = Adam(eta_bptt), Adam(eta_tbptt)
+    check_count("epochs", epochs)
+    check_count("timing_epochs", timing_epochs)
     theta0 = init_params(model, InitScheme.uniform(), SeededRng(seed))
     tbptt = Protocol("tbptt", "propagated", "random")
 
     reset_vjp_count()
-    res_b = train(problem, model, theta0, Adam(eta_bptt), epochs)
+    res_b = train(problem, model, theta0, opt_b, epochs)
     vjps_b = vjp_count() / epochs
     reset_vjp_count()
-    res_t = train(problem, model, theta0, Adam(eta_tbptt), epochs,
-                  protocol=tbptt, seed=seed)
+    res_t = train(problem, model, theta0, opt_t, epochs, protocol=tbptt, seed=seed)
     vjps_t = vjp_count() / epochs
 
     t0 = time.perf_counter()
-    train(problem, model, theta0, Adam(eta_bptt), timing_epochs)
+    train(problem, model, theta0, opt_b, timing_epochs)
     sec_b = (time.perf_counter() - t0) / timing_epochs
     t0 = time.perf_counter()
-    train(problem, model, theta0, Adam(eta_tbptt), timing_epochs,
-          protocol=tbptt, seed=seed)
+    train(problem, model, theta0, opt_t, timing_epochs, protocol=tbptt, seed=seed)
     sec_t = (time.perf_counter() - t0) / timing_epochs
 
     dyn = problem.dynamics
@@ -584,13 +596,15 @@ class MuSweepResult:
             "seed": self.seed,
             "epochs": self.epochs,
             "optimizer": {"name": "adam", "eta": self.eta},
-            "net": {"hidden": [6] * 8, "activation": "elu"},
-            "init": {"kind": "uniform", "bound_rule": "inv_sqrt_k",
-                     "scale": float(np.sqrt(6.0)), "bias_value": 1e-2},
+            "net": {"hidden": list(MU_SWEEP_NET.hidden),
+                    "activation": MU_SWEEP_NET.activation.kind},
+            "init": _init_manifest(MU_SWEEP_INIT),
         }
 
 
 DEFAULT_MUS = (1e-4, 3e-4, 1e-3, 2e-3, 3e-3, 1e-2, 3e-2, 1e-1)
+MU_SWEEP_NET = MlpSpec((6,) * 8, activation=elu(), out_dim=1)
+MU_SWEEP_INIT = InitScheme.uniform(scale=float(np.sqrt(6.0)), bias_value=1e-2)
 
 
 def mu_sweep(
@@ -607,18 +621,18 @@ def mu_sweep(
     best model's terminal loss, work, and energy.
     """
     mus = tuple(float(m) for m in mus)
-    if not all(m >= 0.0 for m in mus):
-        raise ValueError("work multipliers must be >= 0")
     if 0.0 not in mus:
         mus = (0.0,) + mus
+    # every argument is checked before the first run starts
+    losses = [LossSpec.terminal() if mu == 0.0 else LossSpec.work(mu) for mu in mus]
+    opt = Adam(eta)
+    check_count("epochs", epochs)
     problem = particle_problem(steps)
-    model = MlpSpec((6,) * 8, activation=elu(), out_dim=1)
-    init = InitScheme.uniform(scale=float(np.sqrt(6.0)), bias_value=1e-2)
-    theta0 = init_params(model, init, SeededRng(seed))
+    model = MU_SWEEP_NET
+    theta0 = init_params(model, MU_SWEEP_INIT, SeededRng(seed))
     points = []
-    for mu in mus:
-        loss_spec = LossSpec.terminal() if mu == 0.0 else LossSpec.work(mu)
-        res = train(problem, model, theta0, Adam(eta), epochs, loss=loss_spec)
+    for mu, loss_spec in zip(mus, losses):
+        res = train(problem, model, theta0, opt, epochs, loss=loss_spec)
         traj = res.trajectory_best
         loss = terminal_loss(traj, problem.x_star)
         w = work_functional(traj)

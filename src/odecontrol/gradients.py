@@ -59,8 +59,8 @@ class LossSpec:
     def __post_init__(self):
         if self.integrated not in (None, "energy", "work"):
             raise ValueError(f"unknown integrated cost {self.integrated!r}")
-        if self.integrated is not None and self.mu < 0.0:
-            raise ValueError(f"mu must be nonnegative, got {self.mu}")
+        if self.integrated is not None and not self.mu >= 0.0:
+            raise ValueError(f"mu must be >= 0, got {self.mu}")
 
     @staticmethod
     def terminal() -> "LossSpec":

@@ -24,22 +24,20 @@ from .dynamics import (
     sample_control,
     terminal_loss,
 )
+from .experiments import Axis
 from .linalg import SeededRng
 
 
 @dataclass(frozen=True)
 class ProjectionSpec:
-    """Center, directions, and grid of a 1-D or 2-D parameter projection."""
+    """Center, directions, and grid of a 1-D or 2-D parameter projection;
+    a 2-D projection has a second direction d2 and its axis beta."""
 
     theta_star: np.ndarray
     delta: np.ndarray
-    alpha_lo: float = -0.4
-    alpha_hi: float = 0.4
-    alpha_count: int = 101
+    alpha: Axis = Axis("alpha", -0.4, 0.4, 101)
     d2: np.ndarray | None = None
-    beta_lo: float = -0.4
-    beta_hi: float = 0.4
-    beta_count: int = 101
+    beta: Axis | None = None
     seed: int | None = None
 
     def __post_init__(self):
@@ -59,7 +57,9 @@ class ProjectionSpec:
             raise ValueError(
                 f"d2 shape {self.d2.shape} != theta shape {self.theta_star.shape}"
             )
-        if self.alpha_count < 3 or (self.d2 is not None and self.beta_count < 3):
+        if (self.d2 is None) != (self.beta is None):
+            raise ValueError("a 2-D projection needs both d2 and a beta axis")
+        if self.alpha.count < 3 or (self.beta is not None and self.beta.count < 3):
             raise ValueError("projection grids need at least 3 points per axis")
 
     @property
@@ -67,12 +67,12 @@ class ProjectionSpec:
         return self.d2 is not None
 
     def alphas(self) -> np.ndarray:
-        return np.linspace(self.alpha_lo, self.alpha_hi, self.alpha_count)
+        return self.alpha.values()
 
     def betas(self) -> np.ndarray:
-        if self.d2 is None:
+        if self.beta is None:
             return np.zeros(1)
-        return np.linspace(self.beta_lo, self.beta_hi, self.beta_count)
+        return self.beta.values()
 
     def theta_at(self, alpha: float, beta: float = 0.0) -> np.ndarray:
         theta = self.theta_star + alpha * self.delta
@@ -90,23 +90,17 @@ def make_projection(
     beta_range: tuple[float, float] = (-0.4, 0.4),
     beta_count: int = 101,
 ) -> ProjectionSpec:
-    """Draw fresh Gaussian directions for theta_star under the given seed."""
+    """Draw fresh Gaussian directions for theta_star under the given seed;
+    the beta range and count are read for a 2-D projection only."""
     theta_star = np.asarray(theta_star, dtype=np.float64)
     rng = SeededRng(seed)
     delta = rng.normal(theta_star.shape[0])
-    d2 = rng.normal(theta_star.shape[0]) if two_d else None
-    return ProjectionSpec(
-        theta_star,
-        delta,
-        alpha_range[0],
-        alpha_range[1],
-        alpha_count,
-        d2,
-        beta_range[0],
-        beta_range[1],
-        beta_count,
-        seed=seed,
-    )
+    alpha = Axis("alpha", *alpha_range, alpha_count)
+    d2 = beta = None
+    if two_d:
+        d2 = rng.normal(theta_star.shape[0])
+        beta = Axis("beta", *beta_range, beta_count)
+    return ProjectionSpec(theta_star, delta, alpha, d2, beta, seed=seed)
 
 
 def _eval_theta(problem, model, theta, ts, us) -> tuple[float, float, float]:
@@ -137,7 +131,7 @@ def _project_row(args):
 @dataclass(frozen=True)
 class ProjectionResult:
     spec: ProjectionSpec
-    loss: np.ndarray  # shape (alpha_count, beta_count); beta_count = 1 for 1-D
+    loss: np.ndarray  # shape (alpha.count, beta.count); one column for 1-D
     mse_u: np.ndarray
     energy: np.ndarray
     samples: int
@@ -166,10 +160,8 @@ class ProjectionResult:
             "delta": s.delta.tolist(),
             "d2": None if s.d2 is None else s.d2.tolist(),
             "direction_seed": s.seed,
-            "alpha": {"lo": s.alpha_lo, "hi": s.alpha_hi, "count": s.alpha_count},
-            "beta": None
-            if s.d2 is None
-            else {"lo": s.beta_lo, "hi": s.beta_hi, "count": s.beta_count},
+            "alpha": s.alpha.manifest(),
+            "beta": None if s.beta is None else s.beta.manifest(),
             "samples": self.samples,
         }
 

@@ -47,6 +47,12 @@ def as_vector(a, name: str = "vector") -> np.ndarray:
     return v
 
 
+def check_count(name: str, n: int) -> None:
+    """Raise a ValueError naming n unless it is at least 1."""
+    if n < 1:
+        raise ValueError(f"{name} must be >= 1, got {n}")
+
+
 def check_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     m = as_matrix(a, name)
     if m.shape[0] != m.shape[1]:

@@ -164,13 +164,12 @@ class MlpSpec:
     """Fully connected controller u(t; theta): R -> R^out_dim.
 
     hidden lists the hidden-layer widths (may be empty for a bare affine
-    readout). activation applies to every hidden layer unless a tuple with
-    one entry per hidden layer is given. The output layer is linear, so
-    controls are unconstrained in sign and scale.
+    readout). activation applies to every hidden layer. The output layer is
+    linear, so controls are unconstrained in sign and scale.
     """
 
     hidden: tuple[int, ...]
-    activation: Activation | tuple[Activation, ...] = TANH
+    activation: Activation = TANH
     out_dim: int = 1
     use_bias: bool = True
 
@@ -180,16 +179,8 @@ class MlpSpec:
             raise ValueError(f"hidden widths must be >= 1, got {self.hidden}")
         if self.out_dim < 1:
             raise ValueError("out_dim must be >= 1")
-        acts = self.activation
-        if isinstance(acts, Activation):
-            acts = (acts,) * len(self.hidden)
-        else:
-            acts = tuple(acts)
-            if len(acts) != len(self.hidden):
-                raise ValueError(
-                    f"{len(acts)} activations given for {len(self.hidden)} hidden layers"
-                )
-        object.__setattr__(self, "activation", acts)
+        if not isinstance(self.activation, Activation):
+            raise ValueError(f"activation must be an Activation, got {self.activation!r}")
         # freeze the layer structure up front; forward/vjp run at least once per
         # epoch and should not rebuild these lists every call
         widths = (1,) + self.hidden + (self.out_dim,)
@@ -209,7 +200,7 @@ class MlpSpec:
             offs.append((w0, w1, b0, b1))
         object.__setattr__(self, "_shapes", shapes)
         object.__setattr__(self, "_offs", tuple(offs))
-        object.__setattr__(self, "_acts", acts + (LINEAR,))
+        object.__setattr__(self, "_acts", (self.activation,) * len(self.hidden) + (LINEAR,))
         object.__setattr__(self, "_n_params", pos)
 
     def layer_shapes(self) -> list[tuple[int, int, bool]]:

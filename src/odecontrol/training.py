@@ -17,7 +17,13 @@ import numpy as np
 
 from .dynamics import ControlProblem, DivergenceError, Trajectory, control_energy
 from .gradients import GradResult, LossSpec, bptt_grad, tbptt_grad
-from .linalg import SeededRng
+from .linalg import SeededRng, check_count
+
+
+def check_eta(eta: float) -> None:
+    """Raise a ValueError unless eta is a positive step size."""
+    if eta <= 0.0:
+        raise ValueError(f"eta must be positive, got {eta}")
 
 
 @dataclass(frozen=True)
@@ -27,8 +33,7 @@ class Sd:
     eta: float
 
     def __post_init__(self):
-        if self.eta <= 0.0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
+        check_eta(self.eta)
 
 
 @dataclass(frozen=True)
@@ -41,8 +46,7 @@ class Adam:
     eps: float = 1e-8
 
     def __post_init__(self):
-        if self.eta <= 0.0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
+        check_eta(self.eta)
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValueError("betas must lie in [0, 1)")
         if self.eps <= 0.0:
@@ -228,8 +232,7 @@ def train(
     where the step is not -eta * grad. Truncated gradients cover the
     terminal loss only, so tbptt with an integrated cost is rejected.
     """
-    if epochs < 1:
-        raise ValueError(f"epochs must be >= 1, got {epochs}")
+    check_count("epochs", epochs)
     if protocol.kind == "tbptt" and loss.integrated is not None:
         raise ValueError(
             f"tbptt gradients cover the terminal loss only; cannot train the "

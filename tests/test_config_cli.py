@@ -47,6 +47,10 @@ PROJECT_DOC = {
 }
 PHASE_DOC = {"kind": "linear", "w0": {"lo": -1.0, "hi": 1.0, "count": 3},
              "b0": {"lo": -2.0, "hi": 0.0, "count": 3}, "epochs": 5}
+SWEEP_DOC = {"preset": "constant", "layers": [1, 2], "max_neurons": [4, 8],
+             "epochs": 3, "steps": 20}
+MUSWEEP_DOC = {"mus": [0.001], "epochs": 2, "steps": 20}
+COMPARE_DOC = {"hidden": [3], "epochs": 4, "timing_epochs": 2, "steps": 30}
 
 
 def write_json(path, doc) -> str:
@@ -384,15 +388,62 @@ class TestConfigErrorsExit2:
          "network.activation"),
         ("train", edited(RUN_DOC, training__protocol="tbptt", training__cost="energy",
                          training__mu=10.0), "training"),
+        ("compare-protocols", edited(COMPARE_DOC, epochs=0), "epochs"),
+        ("compare-protocols", edited(COMPARE_DOC, hidden=[0]), "hidden"),
+        ("compare-protocols", edited(COMPARE_DOC, eta_tbptt=-1.0), "eta_tbptt"),
+        ("compare-protocols", edited(COMPARE_DOC, timing_epochs=0), "timing_epochs"),
+        ("compare-protocols", edited(COMPARE_DOC, steps=0), "steps"),
+        ("musweep", edited(MUSWEEP_DOC, eta=-1.0), "eta"),
+        ("musweep", edited(MUSWEEP_DOC, mus=[-0.001]), "mus[0]"),
+        ("musweep", edited(MUSWEEP_DOC, steps=0), "steps"),
+        ("sweep", edited(SWEEP_DOC, epochs=0), "epochs"),
+        ("sweep", edited(SWEEP_DOC, layers=[9]), "layers"),
+        ("sweep", edited(SWEEP_DOC, steps=0), "steps"),
+        ("phase", edited(PHASE_DOC, method="train_adam", eta=-1.0), "eta"),
+        ("phase", edited(PHASE_DOC, method="train_adam", steps=0), "steps"),
+        ("phase", edited(PHASE_DOC, eta=-1.0), "eta"),
+        ("phase", edited(PHASE_DOC, epochs=0), "epochs"),
+        ("project", edited(PROJECT_DOC, projection__samples=0), "projection.samples"),
     ], ids=["epochs-0", "eta-negative", "steps-0", "horizon-0", "hidden-width-0",
             "mu-negative", "phase-axis-count-1", "project-axis-count-2", "eta-nan",
             "eta-beyond-float", "x-star-inf", "linear-a-nan", "activation-typo",
-            "tbptt-with-energy-cost"])
+            "tbptt-with-energy-cost", "compare-epochs-0", "compare-hidden-width-0",
+            "compare-eta-tbptt-negative", "compare-timing-epochs-0", "compare-steps-0",
+            "musweep-eta-negative", "musweep-mu-negative", "musweep-steps-0",
+            "sweep-epochs-0", "sweep-layer-deeper-than-max-neurons", "sweep-steps-0",
+            "phase-train-adam-eta-negative", "phase-train-adam-steps-0",
+            "phase-map-eta-negative", "phase-map-epochs-0", "project-samples-0"])
     def test_config_command(self, tmp_path, capsys, command, doc, where):
         cfg = write_json(tmp_path / "cfg.json", doc)
         outdir = tmp_path / "out"
         assert main([command, "--config", cfg, "--out", str(outdir)]) == 2
         assert f"config error: {where}:" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("command, doc, where, key", [
+        ("train", edited(RUN_DOC, network={"kind": "constant", "bias": False}),
+         "network", "bias"),
+        ("train", edited(RUN_DOC, network={"kind": "single_neuron", "bias": False}),
+         "network", "bias"),
+        ("train", edited(RUN_DOC, network={"kind": "constant", "activation": "tanh"}),
+         "network", "activation"),
+        ("train", edited(RUN_DOC, training__mu=5.0), "training", "mu"),
+        ("train", edited(RUN_DOC, training__protocol={"kind": "bptt", "variant": "frozen"}),
+         "training.protocol", "variant"),
+        ("train", edited(RUN_DOC, training__protocol={"kind": "bptt", "schedule": "random"}),
+         "training.protocol", "schedule"),
+        ("train", edited(RUN_DOC, output={"snapshot_stride": 2}), "output", "snapshot_stride"),
+        ("project", edited(PROJECT_DOC, projection__beta={"lo": -0.1, "hi": 0.1, "count": 3}),
+         "projection", "beta"),
+        ("phase", edited(PHASE_DOC, steps=50), "top level", "steps"),
+    ], ids=["bias-on-constant", "bias-on-single-neuron", "activation-on-constant",
+            "mu-with-terminal-cost", "variant-with-bptt", "schedule-with-bptt",
+            "snapshot-stride", "beta-in-1d-projection", "steps-with-map-method"])
+    def test_key_without_effect_is_unknown(self, tmp_path, capsys, command, doc, where, key):
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        outdir = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(outdir)]) == 2
+        assert capsys.readouterr().err == f"config error: {where}: unknown keys: {key}\n"
         assert not outdir.exists()
 
     @pytest.mark.parametrize("argv", [

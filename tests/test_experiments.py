@@ -146,6 +146,16 @@ class TestPhaseDiagram:
         with pytest.raises(ValueError, match="method"):
             phase_diagram("linear", grid=self.GRID, method="rtrl")
 
+    @pytest.mark.parametrize("method", ["map", "train_adam"])
+    @pytest.mark.parametrize("setting, match", [
+        (dict(eta=-1.0), "eta must be positive"),
+        (dict(eta=0.0), "eta must be positive"),
+        (dict(epochs=0), "epochs must be >= 1"),
+    ], ids=["eta-negative", "eta-0", "epochs-0"])
+    def test_rate_and_epochs_validation(self, method, setting, match):
+        with pytest.raises(ValueError, match=match):
+            phase_diagram("linear", grid=self.GRID, method=method, **setting)
+
 
 class TestPhaseSpotCheck:
     def test_sd_matches_analytic_map(self):
@@ -258,6 +268,17 @@ class TestDepthWidthSweep:
 
 
 class TestProtocolComparison:
+    @pytest.mark.parametrize("setting", [
+        dict(eta_tbptt=-1.0), dict(timing_epochs=0), dict(epochs=0), dict(hidden=(0,)),
+    ], ids=["eta-tbptt", "timing-epochs", "epochs", "hidden"])
+    def test_arguments_checked_before_the_first_run(self, setting, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("a run started before the arguments were checked")
+
+        monkeypatch.setattr("odecontrol.experiments.train", no_training)
+        with pytest.raises(ValueError):
+            protocol_comparison(**{"epochs": 2, "timing_epochs": 2, **setting})
+
     def test_counts_and_summary(self):
         pc = protocol_comparison(hidden=(4,), epochs=30, seed=0,
                                  timing_epochs=5)
@@ -297,6 +318,16 @@ class TestMuSweep:
     def test_negative_mu_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
             mu_sweep(mus=(-1e-3,), epochs=1)
+
+    def test_manifest_names_the_net_and_init_the_runs_use(self):
+        doc = mu_sweep(mus=(1e-3,), epochs=1, steps=10).manifest()
+        assert json.dumps(doc) == (
+            '{"experiment": "mu_sweep", "mus": [0.0, 0.001], "seed": 0, "epochs": 1, '
+            '"optimizer": {"name": "adam", "eta": 0.1}, '
+            '"net": {"hidden": [6, 6, 6, 6, 6, 6, 6, 6], "activation": "elu"}, '
+            '"init": {"kind": "uniform", "bound_rule": "inv_sqrt_k", '
+            '"scale": 2.449489742783178, "bias_value": 0.01}}'
+        )
 
 
 class TestArchitectureScan:

@@ -16,7 +16,7 @@ from odecontrol.dynamics import (
     scalar_linear,
     terminal_loss,
 )
-from odecontrol.experiments import constant_problem
+from odecontrol.experiments import Axis, constant_problem
 from odecontrol.landscape import (
     ProjectionSpec,
     make_projection,
@@ -69,9 +69,27 @@ class TestProjectionSpec:
         with pytest.raises(ValueError, match="flat"):
             ProjectionSpec(np.zeros((2, 2)), np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("alpha_range", [(0.1, 0.1), (0.4, -0.4)],
+                             ids=["empty", "reversed"])
+    def test_alpha_range_must_increase(self, alpha_range):
+        with pytest.raises(ValueError, match="hi > lo"):
+            make_projection(THETA_STAR, seed=0, alpha_range=alpha_range)
+
+    def test_beta_range_is_read_for_2d_only(self):
+        spec = make_projection(THETA_STAR, seed=0, beta_range=(0.4, -0.4))
+        assert spec.beta is None
+        with pytest.raises(ValueError, match="hi > lo"):
+            make_projection(THETA_STAR, seed=0, two_d=True, beta_range=(0.4, -0.4))
+
+    def test_beta_axis_goes_with_second_direction(self):
+        with pytest.raises(ValueError, match="both d2 and a beta axis"):
+            ProjectionSpec(THETA_STAR, np.ones(2), d2=np.ones(2))
+        with pytest.raises(ValueError, match="both d2 and a beta axis"):
+            ProjectionSpec(THETA_STAR, np.ones(2), beta=Axis("beta", -0.4, 0.4, 3))
+
     def test_grid_size_validation(self):
         with pytest.raises(ValueError, match="at least 3"):
-            ProjectionSpec(THETA_STAR, np.ones(2), alpha_count=2)
+            ProjectionSpec(THETA_STAR, np.ones(2), alpha=Axis("alpha", -0.4, 0.4, 2))
 
 
 class TestProject:

@@ -145,6 +145,12 @@ class TestMlpForward:
         with pytest.raises(Exception):
             model.forward(np.zeros(model.n_params + 1), 0.0)
 
+    @pytest.mark.parametrize("act", [(TANH, TANH), "tanh", None],
+                             ids=["per-layer-tuple", "name", "none"])
+    def test_activation_must_be_one_activation(self, act):
+        with pytest.raises(ValueError, match="activation must be an Activation"):
+            MlpSpec((3, 3), activation=act)
+
 
 class TestMlpVjp:
     @pytest.mark.parametrize("act", ACTIVATIONS, ids=lambda a: a.kind)
