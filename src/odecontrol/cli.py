@@ -22,10 +22,6 @@ import numpy as np
 from . import __version__
 from .config import (
     ConfigError,
-    build_loss,
-    build_model,
-    build_optimizer,
-    build_problem,
     load_json,
     parse_compare_config,
     parse_musweep_config,
@@ -37,20 +33,18 @@ from .config import (
 )
 from .dynamics import ControlProblem, integrator, scalar_linear
 from .experiments import (
-    Axis,
-    GridSpec,
     depth_width_sweep,
     mu_sweep,
     phase_diagram,
+    problem_manifest,
     protocol_comparison,
-    sweep_preset,
 )
 from .landscape import make_projection, project
 from .linalg import SeededRng
 from .nets import init_params, theta_from_json, theta_to_json
 from .oracles import oc_for_problem
 from .svgplot import heatmap, line_chart
-from .training import train
+from .training import TrainResult, train
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -78,30 +72,28 @@ def _outdir(args, default: str) -> str:
 # -- train ---------------------------------------------------------------------
 
 
-def cmd_train(args) -> int:
-    cfg = parse_run_config(load_json(args.config))
-    seed = cfg.training.seed if args.seed is None else args.seed
-    outdir = _outdir(args, cfg.output.directory)
-    problem = build_problem(cfg.problem)
-    model = build_model(cfg.network, out_dim=problem.dynamics.m)
-    theta0 = init_params(model, cfg.network.init, SeededRng(seed))
+def _train(cfg, args) -> tuple[int, TrainResult]:
+    """The training run of train and project, from cfg.init under the
+    training seed or --seed; returns the seed and the result."""
+    t = cfg.training
+    seed = t.seed if args.seed is None else args.seed
+    theta0 = init_params(cfg.model, cfg.init, SeededRng(seed))
     # train rejects bad arguments before epoch 0, before anything is written
     with section("training"):
-        res = train(
-            problem,
-            model,
-            theta0,
-            build_optimizer(cfg.training),
-            cfg.training.epochs,
-            protocol=cfg.training.protocol,
-            loss=build_loss(cfg.training),
-            seed=seed,
-            record_delta_u=cfg.training.record_delta_u,
-            record_energy_identity=cfg.training.record_energy_identity,
-        )
+        res = train(cfg.problem, cfg.model, theta0, t.optimizer, t.epochs,
+                    protocol=t.protocol, loss=t.loss, seed=seed,
+                    record_delta_u=t.record_delta_u,
+                    record_energy_identity=t.record_energy_identity)
+    return seed, res
+
+
+def cmd_train(args) -> int:
+    cfg = parse_run_config(load_json(args.config))
+    outdir = _outdir(args, cfg.directory)
+    seed, res = _train(cfg, args)
     os.makedirs(outdir, exist_ok=True)
     res.history.to_csv(os.path.join(outdir, "history.csv"))
-    _write(outdir, "best_theta.json", theta_to_json(model, res.theta_best))
+    _write(outdir, "best_theta.json", theta_to_json(cfg.model, res.theta_best))
     _write_manifest(
         outdir,
         {
@@ -115,7 +107,7 @@ def cmd_train(args) -> int:
             "diverged_step": res.diverged_step,
         },
     )
-    if cfg.output.plot:
+    if cfg.plot:
         epochs = np.asarray(res.history.epochs)
         _write(
             outdir,
@@ -228,27 +220,13 @@ def cmd_oc(args) -> int:
 
 
 def cmd_phase(args) -> int:
-    cfg = parse_phase_config(load_json(args.config))
+    kw, plot = parse_phase_config(load_json(args.config))
     outdir = _outdir(args, "out/phase")
-    with section("w0"):
-        w0 = Axis("w0", *cfg.w0)
-    with section("b0"):
-        b0 = Axis("b0", *cfg.b0)
-    grid = GridSpec(w0, b0)
-    result = phase_diagram(
-        cfg.kind,
-        grid,
-        eta=cfg.eta,
-        epochs=cfg.epochs,
-        horizon=cfg.horizon,
-        x0=cfg.x0,
-        xstar=cfg.x_star,
-        method=cfg.method,
-        steps=cfg.steps,
-    )
+    result = phase_diagram(**kw)
+    grid = result.grid
     _write(outdir, "grid.csv", result.to_csv())
     _write_manifest(outdir, {"command": "phase", **result.manifest()})
-    if cfg.plot:
+    if plot:
         _write(
             outdir,
             "phase.svg",
@@ -256,7 +234,7 @@ def cmd_phase(args) -> int:
                 grid.x.values(),
                 grid.y.values(),
                 result.mse,
-                title=f"{cfg.kind} neuron: deviation from optimal control",
+                title=f"{result.kind} neuron: deviation from optimal control",
                 xlabel="initial weight",
                 ylabel="initial bias",
                 log_color=True,
@@ -270,23 +248,14 @@ def cmd_phase(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cli = parse_sweep_config(load_json(args.config))
-    outdir = _outdir(args, f"out/sweep_{cli.preset}")
-    base_seed = cli.base_seed if args.seed is None else args.seed
-    cfg = sweep_preset(
-        cli.preset,
-        layers=cli.layers,
-        max_neurons=cli.max_neurons,
-        epochs=cli.epochs,
-        base_seed=base_seed,
-        steps=cli.steps,
-    )
-    with section("layers"):  # the preset fills in the axes the config leaves out
-        cfg.check()
+    cfg, plot = parse_sweep_config(load_json(args.config))
+    if args.seed is not None:
+        cfg = replace(cfg, base_seed=args.seed)
+    outdir = _outdir(args, f"out/sweep_{cfg.name}")
     result = depth_width_sweep(cfg, workers=args.workers)
     _write(outdir, "grid.csv", result.to_csv())
     _write_manifest(outdir, {"command": "sweep", **result.manifest()})
-    if cli.plot:
+    if plot:
         layers = np.asarray(cfg.layers, dtype=float)
         maxn = np.asarray(cfg.max_neurons, dtype=float)
         for metric in ("energy", "loss"):
@@ -303,14 +272,14 @@ def cmd_sweep(args) -> int:
                     layers,
                     maxn,
                     z,
-                    title=f"{cli.preset} sweep: {metric}",
+                    title=f"{cfg.name} sweep: {metric}",
                     xlabel="layers",
                     ylabel="max neurons",
                     log_color=(metric == "loss"),
                 ),
             )
     n_div = sum(c.diverged for c in result.cells)
-    print(f"sweep {cli.preset}: {len(result.cells)} cells, {n_div} diverged -> {outdir}")
+    print(f"sweep {cfg.name}: {len(result.cells)} cells, {n_div} diverged -> {outdir}")
     return EXIT_OK
 
 
@@ -318,14 +287,14 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_musweep(args) -> int:
-    cfg = parse_musweep_config(load_json(args.config))
+    kw, plot = parse_musweep_config(load_json(args.config))
+    if args.seed is not None:
+        kw["seed"] = args.seed
     outdir = _outdir(args, "out/musweep")
-    seed = cfg.seed if args.seed is None else args.seed
-    result = mu_sweep(cfg.mus, epochs=cfg.epochs, eta=cfg.eta, seed=seed,
-                      steps=cfg.steps)
+    result = mu_sweep(**kw)
     _write(outdir, "grid.csv", result.to_csv())
     _write_manifest(outdir, {"command": "musweep", **result.manifest()})
-    if cfg.plot:
+    if plot:
         mus = np.asarray([p.mu for p in result.points])
         keep = mus > 0.0
         _write(
@@ -354,56 +323,32 @@ def cmd_musweep(args) -> int:
 def cmd_project(args) -> int:
     cfg = parse_project_config(load_json(args.config))
     outdir = _outdir(args, "out/project")
-    seed = cfg.training.seed if args.seed is None else args.seed
-    problem = build_problem(cfg.problem)
-    model = build_model(cfg.network, out_dim=problem.dynamics.m)
     if cfg.theta_file is not None:
         with open(cfg.theta_file) as fh, section("projection.theta_file"):
-            theta_star = theta_from_json(fh.read(), model)
+            center = theta_from_json(fh.read(), cfg.model)
     else:
-        theta_star = init_params(model, cfg.network.init, SeededRng(seed))
+        center = np.zeros(cfg.model.n_params)  # recentred on the trained theta below
     # the directions depend on the parameter count only, so the grid is
-    # checked before training and recentred on the trained theta after it
+    # checked before training
     with section("projection"):
-        spec = make_projection(
-            theta_star,
-            seed=cfg.direction_seed,
-            two_d=cfg.two_d,
-            alpha_range=cfg.alpha[:2],
-            alpha_count=cfg.alpha[2],
-            beta_range=cfg.beta[:2],
-            beta_count=cfg.beta[2],
-        )
+        spec = replace(make_projection(center, cfg.direction_seed, two_d=cfg.beta is not None),
+                       alpha=cfg.alpha, beta=cfg.beta)
     with section("problem"):
-        sol = oc_for_problem(problem)
-    trained = None
-    if cfg.theta_file is None:
-        with section("training"):
-            trained = train(
-                problem,
-                model,
-                theta_star,
-                build_optimizer(cfg.training),
-                cfg.training.epochs,
-                protocol=cfg.training.protocol,
-                loss=build_loss(cfg.training),
-                seed=seed,
-            )
-        spec = replace(spec, theta_star=trained.theta_best)
-    result = project(spec, problem, model, sol.u_star, samples=cfg.samples,
+        sol = oc_for_problem(cfg.problem)
+    trained = {}
+    if cfg.training is not None:
+        seed, res = _train(cfg, args)
+        spec = replace(spec, theta_star=res.theta_best)
+        trained = {"training_seed": seed, "center_loss": res.loss_best,
+                   "center_epoch": res.best_epoch}
+    result = project(spec, cfg.problem, cfg.model, sol.u_star, samples=cfg.samples,
                      workers=args.workers)
     _write(outdir, "projection.csv", result.to_csv())
-    doc = {"command": "project", **result.manifest(),
-           "problem": cfg.problem.__dict__ | {"x0": list(cfg.problem.x0),
-                                              "x_star": list(cfg.problem.x_star)},
-           "training_seed": seed}
-    if trained is not None:
-        doc["center_loss"] = trained.loss_best
-        doc["center_epoch"] = trained.best_epoch
-    _write_manifest(outdir, doc)
+    _write_manifest(outdir, {"command": "project", **result.manifest(),
+                             "problem": problem_manifest(cfg.problem), **trained})
     if cfg.plot:
         alphas = spec.alphas()
-        if cfg.two_d:
+        if spec.two_d:
             _write(
                 outdir,
                 "projection.svg",
@@ -435,7 +380,7 @@ def cmd_project(args) -> int:
             )
     ia, ib = result.center_index()
     print(
-        f"projection {'2d' if cfg.two_d else '1d'} center loss "
+        f"projection {'2d' if spec.two_d else '1d'} center loss "
         f"{float(result.loss[ia, ib])!r} -> {outdir}"
     )
     return EXIT_OK
@@ -445,20 +390,11 @@ def cmd_project(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cfg = parse_compare_config(load_json(args.config))
+    kw, plot = parse_compare_config(load_json(args.config))
+    if args.seed is not None:
+        kw["seed"] = args.seed
     outdir = _outdir(args, "out/compare")
-    seed = cfg.seed if args.seed is None else args.seed
-    from .experiments import flow2d_problem
-
-    pc = protocol_comparison(
-        problem=flow2d_problem(cfg.steps),
-        hidden=cfg.hidden,
-        epochs=cfg.epochs,
-        eta_bptt=cfg.eta_bptt,
-        eta_tbptt=cfg.eta_tbptt,
-        seed=seed,
-        timing_epochs=cfg.timing_epochs,
-    )
+    pc = protocol_comparison(**kw)
     buf_b, buf_t = io.StringIO(), io.StringIO()
     pc.bptt.history.to_csv(buf_b)
     pc.tbptt.history.to_csv(buf_t)
@@ -468,20 +404,8 @@ def cmd_compare(args) -> int:
     merged += [f"bptt,{ln}" for ln in h_b[1:]]
     merged += [f"tbptt,{ln}" for ln in h_t[1:]]
     _write(outdir, "history.csv", "\n".join(merged) + "\n")
-    _write_manifest(
-        outdir,
-        {
-            "command": "compare-protocols",
-            **pc.summary(),
-            "hidden": list(cfg.hidden),
-            "epochs": cfg.epochs,
-            "eta_bptt": cfg.eta_bptt,
-            "eta_tbptt": cfg.eta_tbptt,
-            "seed": seed,
-            "timing_epochs": cfg.timing_epochs,
-        },
-    )
-    if cfg.plot:
+    _write_manifest(outdir, {"command": "compare-protocols", **pc.manifest()})
+    if plot:
         _write(
             outdir,
             "loss.svg",

@@ -4,11 +4,14 @@ Configs are parsed strictly: every section is consumed key by key and any
 leftover key raises a ConfigError naming its dotted path, so typos fail
 before any computation starts; numbers must be finite. A key is read only
 where it changes the run (network.bias for an mlp, training.mu for an
-integrated cost, ...), so set elsewhere it is a leftover key too. Parsing
-returns plain config dataclasses; build_* helpers turn them into live
-problem / model / optimizer objects and report a value the library rejects
-as a ConfigError naming the section. The flat experiment configs run the
-library's checks on their values while parsing.
+integrated cost, ...), so set elsewhere it is a leftover key too.
+
+Each section parses straight into the library object it configures (a
+ControlProblem, a controller and its InitScheme, an optimizer and LossSpec,
+a SweepConfig, an Axis), built inside section() so that a value the library
+rejects is a ConfigError naming the section. A flat experiment config
+parses into the keyword arguments of its experiment function, holding only
+the keys the file sets, so each default lives once, in the library.
 """
 
 from __future__ import annotations
@@ -16,12 +19,22 @@ from __future__ import annotations
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from .dynamics import ControlProblem, LinearDynamics, integrator, scalar_linear
-from .experiments import SWEEP_PRESETS, flow2d_problem, particle_problem
+from .experiments import (
+    PHASE_GRID,
+    SWEEP_PRESETS,
+    Axis,
+    GridSpec,
+    SweepConfig,
+    flow2d_problem,
+    particle_problem,
+    sweep_preset,
+)
 from .gradients import LossSpec
-from .linalg import check_count
+from .landscape import PROJECTION_AXIS
+from .linalg import check_count, check_positive
 from .nets import (
     ConstantControl,
     InitScheme,
@@ -136,35 +149,58 @@ def _int_list(value, path: str) -> tuple[int, ...]:
     return tuple(_as_int(v, f"{path}[{i}]") for i, v in enumerate(value))
 
 
-# -- sections -----------------------------------------------------------------
+def _count(value, path: str) -> int:
+    """A count the library needs >= 1: epochs, steps, timing_epochs."""
+    n = _as_int(value, path)
+    _check(path, check_count, path, n)
+    return n
+
+
+def _eta(value, path: str) -> float:
+    eta = _as_float(value, path)
+    _check(path, check_eta, eta)
+    return eta
+
+
+def _horizon(value, path: str) -> float:
+    horizon = _as_float(value, path)
+    _check(path, check_positive, path, horizon)
+    return horizon
+
+
+def _choice(*choices):
+    return lambda value, path: _as_str(value, path, choices)
+
+
+def _set_keys(d: dict, readers: dict, path: str = "") -> dict:
+    """Read each key of d that readers names with its reader. A key the
+    config leaves out stays out of the result, so the library's default
+    applies."""
+    return {key: read(d.pop(key), f"{path}.{key}" if path else key)
+            for key, read in readers.items() if key in d}
+
+
+def _plot(d: dict) -> bool:
+    return _as_bool(_take(d, "plot", "", False), "plot")
+
+
+# -- run-config sections ---------------------------------------------------------
 
 _PROBLEM_KINDS = ("integrator", "scalar_linear", "linear", "flow2d", "particle")
 _BENCHMARKS = {"flow2d": flow2d_problem, "particle": particle_problem}
 
 
-@dataclass(frozen=True)
-class ProblemConfig:
-    kind: str
-    a: object = None  # scalar for scalar_linear, nested lists for linear
-    b: object = None
-    x0: tuple[float, ...] = (0.0,)
-    x_star: tuple[float, ...] = (1.0,)
-    horizon: float = 1.0
-    steps: int = 100
-
-
-def parse_problem(raw: dict, path: str = "problem") -> ProblemConfig:
+def parse_problem(raw: dict, path: str = "problem") -> ControlProblem:
     d = _as_dict(raw, path)
     kind = _as_str(_take(d, "kind", path), f"{path}.kind", _PROBLEM_KINDS)
-    a = b = None
+    bench = _BENCHMARKS[kind]() if kind in _BENCHMARKS else None
     if kind == "scalar_linear":
         a = _as_float(_take(d, "a", path), f"{path}.a")
         b = _as_float(_take(d, "b", path), f"{path}.b")
     elif kind == "linear":
         a = _matrix(_take(d, "a", path), f"{path}.a")
         b = _matrix(_take(d, "b", path), f"{path}.b")
-    if kind in _BENCHMARKS:
-        bench = _BENCHMARKS[kind]()
+    if bench is not None:
         dx0, dxs = bench.x0.tolist(), bench.x_star.tolist()
     else:
         dx0, dxs = (None, None) if kind == "linear" else ([0.0], [1.0])
@@ -177,61 +213,43 @@ def parse_problem(raw: dict, path: str = "problem") -> ProblemConfig:
     horizon = _as_float(_take(d, "horizon", path, 1.0), f"{path}.horizon")
     steps = _as_int(_take(d, "steps", path, 100), f"{path}.steps")
     _done(d, path)
-    return ProblemConfig(kind, a, b, x0, xs, horizon, steps)
-
-
-def build_problem(cfg: ProblemConfig) -> ControlProblem:
-    with section("problem"):
-        if cfg.kind == "integrator":
+    with section(path):
+        if bench is not None:
+            dyn = bench.dynamics
+        elif kind == "integrator":
             dyn = integrator()
-        elif cfg.kind == "scalar_linear":
-            dyn = scalar_linear(cfg.a, cfg.b)
-        elif cfg.kind == "linear":
-            dyn = LinearDynamics(cfg.a, cfg.b)
+        elif kind == "scalar_linear":
+            dyn = scalar_linear(a, b)
         else:
-            dyn = _BENCHMARKS[cfg.kind]().dynamics
-        return ControlProblem(dyn, list(cfg.x0), list(cfg.x_star), cfg.horizon, cfg.steps)
+            dyn = LinearDynamics(a, b)
+        return ControlProblem(dyn, list(x0), list(xs), horizon, steps)
 
 
-@dataclass(frozen=True)
-class NetworkConfig:
-    kind: str = "mlp"  # mlp | single_neuron | constant
-    hidden: tuple[int, ...] = (6, 6)
-    activation: object = "elu"  # None for a constant control
-    use_bias: bool = True
-    init: InitScheme = InitScheme.constant(0.1)
+def _optional_float(value, path: str) -> float | None:
+    return None if value is None else _as_float(value, path)
 
 
 def parse_init(raw, path: str) -> InitScheme:
     d = _as_dict(raw, path)
     kind = _as_str(_take(d, "kind", path), f"{path}.kind", ("constant", "uniform"))
     if kind == "constant":
-        value = _as_float(_take(d, "value", path, 0.0), f"{path}.value")
-        bias_raw = _take(d, "bias_value", path, None)
-        bias = None if bias_raw is None else _as_float(bias_raw, f"{path}.bias_value")
-        _done(d, path)
-        scheme = InitScheme("constant", value=value, bias_value=bias)
+        readers = {"value": _as_float}
     else:
-        rule = _as_str(
-            _take(d, "bound_rule", path, "inv_sqrt_k"),
-            f"{path}.bound_rule",
-            ("inv_sqrt_k", "sqrt_k"),
-        )
-        scale = _as_float(_take(d, "scale", path, 1.0), f"{path}.scale")
-        bias_raw = _take(d, "bias_value", path, None)
-        bias = None if bias_raw is None else _as_float(bias_raw, f"{path}.bias_value")
-        _done(d, path)
-        scheme = InitScheme.uniform(bound_rule=rule, scale=scale, bias_value=bias)
-    return scheme
+        readers = {"bound_rule": _choice("inv_sqrt_k", "sqrt_k"), "scale": _as_float}
+    kw = _set_keys(d, readers | {"bias_value": _optional_float}, path)
+    _done(d, path)
+    return InitScheme(kind, **kw)
 
 
-def parse_network(raw: dict, path: str = "network") -> NetworkConfig:
+def parse_network(raw: dict, out_dim: int, path: str = "network", init: bool = True):
+    """The controller for out_dim controls and its InitScheme; with init
+    False (a center read from a file) network.init is an unknown key and the
+    scheme is None."""
     d = _as_dict(raw, path)
     kind = _as_str(
         _take(d, "kind", path, "mlp"), f"{path}.kind", ("mlp", "single_neuron", "constant")
     )
     # hidden and bias shape an mlp only, and a constant control has no activation
-    hidden, activation, use_bias = (), None, True
     if kind == "mlp":
         hidden = _int_list(_take(d, "hidden", path), f"{path}.hidden")
         use_bias = _as_bool(_take(d, "bias", path, True), f"{path}.bias")
@@ -239,38 +257,40 @@ def parse_network(raw: dict, path: str = "network") -> NetworkConfig:
         act_raw = _take(d, "activation", path, "elu" if kind == "mlp" else "linear")
         with section(f"{path}.activation"):
             activation = activation_from_config(act_raw)
-    init_raw = _take(d, "init", path, {"kind": "constant", "value": 0.1})
-    init = parse_init(init_raw, f"{path}.init")
+    scheme = None
+    if init:
+        init_raw = _take(d, "init", path, {"kind": "constant", "value": 0.1})
+        scheme = parse_init(init_raw, f"{path}.init")
     _done(d, path)
-    return NetworkConfig(kind, hidden, activation, use_bias, init)
-
-
-def build_model(cfg: NetworkConfig, out_dim: int = 1):
-    if cfg.kind == "single_neuron":
+    if kind == "single_neuron":
         if out_dim != 1:
-            raise ConfigError("network.kind", "single_neuron drives scalar controls only")
-        return SingleNeuron(cfg.activation)
-    if cfg.kind == "constant":
-        return ConstantControl(out_dim=out_dim)
-    with section("network"):
-        return MlpSpec(cfg.hidden, activation=cfg.activation, out_dim=out_dim,
-                       use_bias=cfg.use_bias)
+            raise ConfigError(f"{path}.kind", "single_neuron drives scalar controls only")
+        return SingleNeuron(activation), scheme
+    if kind == "constant":
+        return ConstantControl(out_dim=out_dim), scheme
+    with section(path):
+        return MlpSpec(hidden, activation=activation, out_dim=out_dim,
+                       use_bias=use_bias), scheme
 
 
 @dataclass(frozen=True)
 class TrainingConfig:
-    optimizer: str = "adam"
-    eta: float = 1e-2
-    epochs: int = 100
-    seed: int = 0
-    protocol: Protocol = Protocol()
-    cost: str = "terminal"  # terminal | energy | work
-    mu: float = 0.0
+    """The training section: what train takes besides the problem, the
+    model and theta0."""
+
+    optimizer: Adam | Sd
+    epochs: int
+    seed: int
+    protocol: Protocol
+    loss: LossSpec
     record_delta_u: bool = False
     record_energy_identity: bool = False
 
 
-def parse_training(raw: dict, path: str = "training") -> TrainingConfig:
+def parse_training(raw: dict, path: str = "training",
+                   recorders: bool = True) -> TrainingConfig:
+    """With recorders False (a run that writes no history) the recorder
+    switches are unknown keys."""
     d = _as_dict(raw, path)
     optimizer = _as_str(_take(d, "optimizer", path, "adam"), f"{path}.optimizer",
                         ("adam", "sd"))
@@ -281,72 +301,48 @@ def parse_training(raw: dict, path: str = "training") -> TrainingConfig:
     pp = f"{path}.protocol"
     proto_d = {"kind": proto_raw} if isinstance(proto_raw, str) else _as_dict(proto_raw, pp)
     pk = _as_str(_take(proto_d, "kind", pp, "bptt"), f"{pp}.kind", ("bptt", "tbptt"))
-    protocol = Protocol(pk)
+    proto_kw = {}
     if pk == "tbptt":  # variant and schedule shape a truncated gradient only
-        variant = _as_str(_take(proto_d, "variant", pp, "propagated"), f"{pp}.variant",
-                          ("frozen", "propagated"))
-        schedule = _as_str(_take(proto_d, "schedule", pp, "cyclic"), f"{pp}.schedule",
-                           ("cyclic", "random"))
-        protocol = Protocol(pk, variant, schedule)
+        proto_kw = _set_keys(proto_d, {"variant": _choice("frozen", "propagated"),
+                                       "schedule": _choice("cyclic", "random")}, pp)
     _done(proto_d, pp)
     cost = _as_str(_take(d, "cost", path, "terminal"), f"{path}.cost",
                    ("terminal", "energy", "work"))
-    mu = 0.0
+    loss_kw = {}
     if cost != "terminal":  # mu weighs an integrated cost
-        mu = _as_float(_take(d, "mu", path, 0.0), f"{path}.mu")
-    rec_du = _as_bool(_take(d, "record_delta_u", path, False), f"{path}.record_delta_u")
-    rec_ei = _as_bool(_take(d, "record_energy_identity", path, False),
-                      f"{path}.record_energy_identity")
+        loss_kw = {"integrated": cost} | _set_keys(d, {"mu": _as_float}, path)
+    record = {}
+    if recorders:
+        record = _set_keys(d, {"record_delta_u": _as_bool,
+                               "record_energy_identity": _as_bool}, path)
     _done(d, path)
-    return TrainingConfig(optimizer, eta, epochs, seed, protocol, cost, mu,
-                          rec_du, rec_ei)
-
-
-def build_optimizer(cfg: TrainingConfig):
-    with section("training"):
-        return Adam(cfg.eta) if cfg.optimizer == "adam" else Sd(cfg.eta)
-
-
-def build_loss(cfg: TrainingConfig) -> LossSpec:
-    with section("training"):
-        if cfg.cost == "terminal":
-            return LossSpec.terminal()
-        if cfg.cost == "energy":
-            return LossSpec.energy(cfg.mu)
-        return LossSpec.work(cfg.mu)
-
-
-@dataclass(frozen=True)
-class OutputConfig:
-    directory: str = "out"
-    plot: bool = False
-
-
-def parse_output(raw: dict, path: str = "output") -> OutputConfig:
-    d = _as_dict(raw, path)
-    directory = _as_str(_take(d, "directory", path, "out"), f"{path}.directory")
-    plot = _as_bool(_take(d, "plot", path, False), f"{path}.plot")
-    _done(d, path)
-    return OutputConfig(directory, plot)
+    with section(path):
+        return TrainingConfig((Adam if optimizer == "adam" else Sd)(eta), epochs, seed,
+                              Protocol(pk, **proto_kw), LossSpec(**loss_kw), **record)
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    problem: ProblemConfig
-    network: NetworkConfig
+    problem: ControlProblem
+    model: object
+    init: InitScheme
     training: TrainingConfig
-    output: OutputConfig = field(default_factory=OutputConfig)
-    raw: dict = field(default_factory=dict, compare=False)
+    directory: str
+    plot: bool
+    raw: dict
 
 
 def parse_run_config(doc: dict) -> RunConfig:
     d = _as_dict(doc, "")
-    problem = parse_problem(_take(d, "problem", ""), "problem")
-    network = parse_network(_take(d, "network", ""), "network")
-    training = parse_training(_take(d, "training", "", {}), "training")
-    output = parse_output(_take(d, "output", "", {}), "output")
+    problem = parse_problem(_take(d, "problem", ""))
+    model, init = parse_network(_take(d, "network", ""), problem.dynamics.m)
+    training = parse_training(_take(d, "training", "", {}))
+    od = _as_dict(_take(d, "output", "", {}), "output")
+    directory = _as_str(_take(od, "directory", "output", "out"), "output.directory")
+    plot = _as_bool(_take(od, "plot", "output", False), "output.plot")
+    _done(od, "output")
     _done(d, "")
-    return RunConfig(problem, network, training, output, raw=dict(doc))
+    return RunConfig(problem, model, init, training, directory, plot, raw=dict(doc))
 
 
 def load_json(path: str) -> dict:
@@ -367,179 +363,125 @@ def load_json(path: str) -> dict:
 # -- experiment-command configs -------------------------------------------------
 
 
-def _axis_triple(raw, path: str, default_lo: float, default_hi: float,
-                 default_count: int) -> tuple[float, float, int]:
+def _axis(raw, path: str, default: Axis) -> Axis:
+    """An axis whose lo, hi and count default to those of default; the
+    caller reports the Axis's own checks under its section."""
     d = _as_dict(raw, path)
-    lo = _as_float(_take(d, "lo", path, default_lo), f"{path}.lo")
-    hi = _as_float(_take(d, "hi", path, default_hi), f"{path}.hi")
-    count = _as_int(_take(d, "count", path, default_count), f"{path}.count")
+    kw = _set_keys(d, {"lo": _as_float, "hi": _as_float, "count": _as_int}, path)
     _done(d, path)
-    return lo, hi, count
+    return replace(default, **kw)
 
 
-@dataclass(frozen=True)
-class PhaseConfig:
-    kind: str = "linear"
-    w0: tuple[float, float, int] = (-2.0, 2.0, 41)
-    b0: tuple[float, float, int] = (-2.0, 2.0, 41)
-    eta: float = 0.1
-    epochs: int = 300
-    horizon: float = 1.0
-    x0: float = 0.0
-    x_star: float = -1.0
-    method: str = "map"
-    steps: int = 100
-    plot: bool = False
-
-
-def parse_phase_config(doc: dict) -> PhaseConfig:
+def parse_phase_config(doc: dict) -> tuple[dict, bool]:
+    """phase_diagram's keyword arguments and the plot flag."""
     d = _as_dict(doc, "")
-    kind = _as_str(_take(d, "kind", "", "linear"), "kind", ("linear", "relu"))
-    w0 = _axis_triple(_take(d, "w0", "", {}), "w0", -2.0, 2.0, 41)
-    b0 = _axis_triple(_take(d, "b0", "", {}), "b0", -2.0, 2.0, 41)
-    eta = _as_float(_take(d, "eta", "", 0.1), "eta")
-    _check("eta", check_eta, eta)
-    epochs = _as_int(_take(d, "epochs", "", 300), "epochs")
-    _check("epochs", check_count, "epochs", epochs)
-    horizon = _as_float(_take(d, "horizon", "", 1.0), "horizon")
-    x0 = _as_float(_take(d, "x0", "", 0.0), "x0")
-    x_star = _as_float(_take(d, "x_star", "", -1.0), "x_star")
-    method = _as_str(_take(d, "method", "", "map"), "method", ("map", "train_adam"))
-    steps = PhaseConfig.steps
-    if method == "train_adam":  # the map method never runs the simulator
-        steps = _as_int(_take(d, "steps", "", steps), "steps")
-        _check("steps", check_count, "steps", steps)
-    plot = _as_bool(_take(d, "plot", "", False), "plot")
+    kw = {"kind": _as_str(_take(d, "kind", "", "linear"), "kind", ("linear", "relu"))}
+    if "w0" in d or "b0" in d:
+        with section("w0"):
+            w0 = _axis(_take(d, "w0", "", {}), "w0", PHASE_GRID.x)
+        with section("b0"):
+            b0 = _axis(_take(d, "b0", "", {}), "b0", PHASE_GRID.y)
+        kw["grid"] = GridSpec(w0, b0)
+    kw |= _set_keys(d, {"eta": _eta, "epochs": _count, "horizon": _horizon,
+                        "x0": _as_float, "x_star": _as_float,
+                        "method": _choice("map", "train_adam")})
+    if kw.get("method") == "train_adam":  # the map method never runs the simulator
+        kw |= _set_keys(d, {"steps": _count})
+    if "x_star" in kw:
+        kw["xstar"] = kw.pop("x_star")
+    plot = _plot(d)
     _done(d, "")
-    return PhaseConfig(kind, w0, b0, eta, epochs, horizon, x0, x_star, method,
-                       steps, plot)
+    return kw, plot
 
 
-@dataclass(frozen=True)
-class SweepCliConfig:
-    preset: str
-    layers: tuple[int, ...] | None = None
-    max_neurons: tuple[int, ...] | None = None
-    epochs: int | None = None
-    base_seed: int = 0
-    steps: int = 100
-    plot: bool = False
-
-
-def parse_sweep_config(doc: dict) -> SweepCliConfig:
+def parse_sweep_config(doc: dict) -> tuple[SweepConfig, bool]:
+    """The SweepConfig sweep_preset builds and the plot flag."""
     d = _as_dict(doc, "")
     preset = _as_str(_take(d, "preset", ""), "preset", tuple(SWEEP_PRESETS))
-    layers_raw = _take(d, "layers", "", None)
-    layers = None if layers_raw is None else _int_list(layers_raw, "layers")
-    maxn_raw = _take(d, "max_neurons", "", None)
-    max_neurons = None if maxn_raw is None else _int_list(maxn_raw, "max_neurons")
-    epochs_raw = _take(d, "epochs", "", None)
-    epochs = None if epochs_raw is None else _as_int(epochs_raw, "epochs")
-    if epochs is not None:
-        _check("epochs", check_count, "epochs", epochs)
-    base_seed = _as_int(_take(d, "base_seed", "", 0), "base_seed")
-    steps = _as_int(_take(d, "steps", "", 100), "steps")
-    _check("steps", check_count, "steps", steps)
-    plot = _as_bool(_take(d, "plot", "", False), "plot")
+    kw = _set_keys(d, {"layers": _int_list, "max_neurons": _int_list, "epochs": _count,
+                       "base_seed": _as_int, "steps": _count})
+    plot = _plot(d)
     _done(d, "")
-    return SweepCliConfig(preset, layers, max_neurons, epochs, base_seed, steps, plot)
+    cfg = sweep_preset(preset, **kw)
+    with section("layers"):  # the preset fills in the axes the config leaves out
+        cfg.check()
+    return cfg, plot
 
 
-@dataclass(frozen=True)
-class MuSweepConfig:
-    mus: tuple[float, ...]
-    epochs: int = 100
-    eta: float = 0.1
-    seed: int = 0
-    steps: int = 100
-    plot: bool = False
-
-
-def parse_musweep_config(doc: dict) -> MuSweepConfig:
+def parse_musweep_config(doc: dict) -> tuple[dict, bool]:
+    """mu_sweep's keyword arguments and the plot flag."""
     d = _as_dict(doc, "")
     mus = _float_list(_take(d, "mus", ""), "mus")
     for i, mu in enumerate(mus):
         _check(f"mus[{i}]", LossSpec.work, mu)
-    epochs = _as_int(_take(d, "epochs", "", 100), "epochs")
-    _check("epochs", check_count, "epochs", epochs)
-    eta = _as_float(_take(d, "eta", "", 0.1), "eta")
-    _check("eta", check_eta, eta)
-    seed = _as_int(_take(d, "seed", "", 0), "seed")
-    steps = _as_int(_take(d, "steps", "", 100), "steps")
-    _check("steps", check_count, "steps", steps)
-    plot = _as_bool(_take(d, "plot", "", False), "plot")
+    kw = {"mus": mus} | _set_keys(d, {"epochs": _count, "eta": _eta, "seed": _as_int,
+                                      "steps": _count})
+    plot = _plot(d)
     _done(d, "")
-    return MuSweepConfig(mus, epochs, eta, seed, steps, plot)
+    return kw, plot
+
+
+def _hidden(value, path: str) -> tuple[int, ...]:
+    hidden = _int_list(value, path)
+    _check(path, MlpSpec, hidden)
+    return hidden
+
+
+def parse_compare_config(doc: dict) -> tuple[dict, bool]:
+    """protocol_comparison's keyword arguments and the plot flag."""
+    d = _as_dict(doc, "")
+    kw = _set_keys(d, {"hidden": _hidden, "epochs": _count, "eta_bptt": _eta,
+                       "eta_tbptt": _eta, "seed": _as_int, "timing_epochs": _count,
+                       "steps": _count})
+    if "steps" in kw:
+        kw["problem"] = flow2d_problem(kw.pop("steps"))
+    plot = _plot(d)
+    _done(d, "")
+    return kw, plot
 
 
 @dataclass(frozen=True)
 class ProjectionCliConfig:
-    problem: ProblemConfig
-    network: NetworkConfig
-    training: TrainingConfig
-    direction_seed: int = 0
-    two_d: bool = False
-    alpha: tuple[float, float, int] = (-0.4, 0.4, 101)
-    beta: tuple[float, float, int] = (-0.4, 0.4, 101)
-    samples: int = 100
-    theta_file: str | None = None
-    plot: bool = False
+    """A projection around theta_file's θ or, without one, around the best θ
+    of a training run from init."""
+
+    problem: ControlProblem
+    model: object
+    init: InitScheme | None  # None with theta_file
+    training: TrainingConfig | None  # None with theta_file
+    direction_seed: int
+    alpha: Axis
+    beta: Axis | None  # None for a 1-D projection
+    samples: int
+    theta_file: str | None
+    plot: bool
 
 
 def parse_project_config(doc: dict) -> ProjectionCliConfig:
     d = _as_dict(doc, "")
-    problem = parse_problem(_take(d, "problem", ""), "problem")
-    network = parse_network(_take(d, "network", ""), "network")
-    training = parse_training(_take(d, "training", "", {}), "training")
-    pd = _as_dict(_take(d, "projection", "", {}), "projection")
-    direction_seed = _as_int(_take(pd, "seed", "projection", 0), "projection.seed")
-    two_d = _as_bool(_take(pd, "two_d", "projection", False), "projection.two_d")
-    alpha = _axis_triple(_take(pd, "alpha", "projection", {}), "projection.alpha",
-                         -0.4, 0.4, 101)
-    beta = ProjectionCliConfig.beta
-    if two_d:
-        beta = _axis_triple(_take(pd, "beta", "projection", {}), "projection.beta",
-                            -0.4, 0.4, 101)
-    samples = _as_int(_take(pd, "samples", "projection", 100), "projection.samples")
+    pp = "projection"
+    pd = _as_dict(_take(d, pp, "", {}), pp)
+    direction_seed = _as_int(_take(pd, "seed", pp, 0), "projection.seed")
+    two_d = _as_bool(_take(pd, "two_d", pp, False), "projection.two_d")
+    with section(pp):
+        alpha = _axis(_take(pd, "alpha", pp, {}), "projection.alpha", PROJECTION_AXIS)
+        beta = None
+        if two_d:
+            beta = _axis(_take(pd, "beta", pp, {}), "projection.beta",
+                         replace(PROJECTION_AXIS, name="beta"))
+    samples = _as_int(_take(pd, "samples", pp, 100), "projection.samples")
     _check("projection.samples", check_count, "samples", samples)
-    theta_raw = _take(pd, "theta_file", "projection", None)
+    theta_raw = _take(pd, "theta_file", pp, None)
     theta_file = None if theta_raw is None else _as_str(theta_raw, "projection.theta_file")
-    _done(pd, "projection")
-    plot = _as_bool(_take(d, "plot", "", False), "plot")
+    _done(pd, pp)
+    # a center read from a file is not trained, so it takes no init or training
+    trained = theta_file is None
+    problem = parse_problem(_take(d, "problem", ""))
+    model, init = parse_network(_take(d, "network", ""), problem.dynamics.m, init=trained)
+    training = None
+    if trained:
+        training = parse_training(_take(d, "training", "", {}), recorders=False)
+    plot = _plot(d)
     _done(d, "")
-    return ProjectionCliConfig(problem, network, training, direction_seed, two_d,
-                               alpha, beta, samples, theta_file, plot)
-
-
-@dataclass(frozen=True)
-class CompareConfig:
-    hidden: tuple[int, ...] = (14, 14)
-    epochs: int = 1000
-    eta_bptt: float = 3e-3
-    eta_tbptt: float = 5e-3
-    seed: int = 0
-    timing_epochs: int = 200
-    steps: int = 100
-    plot: bool = False
-
-
-def parse_compare_config(doc: dict) -> CompareConfig:
-    d = _as_dict(doc, "")
-    hidden_raw = _take(d, "hidden", "", None)
-    hidden = (14, 14) if hidden_raw is None else _int_list(hidden_raw, "hidden")
-    _check("hidden", MlpSpec, hidden)
-    epochs = _as_int(_take(d, "epochs", "", 1000), "epochs")
-    _check("epochs", check_count, "epochs", epochs)
-    eta_bptt = _as_float(_take(d, "eta_bptt", "", 3e-3), "eta_bptt")
-    _check("eta_bptt", check_eta, eta_bptt)
-    eta_tbptt = _as_float(_take(d, "eta_tbptt", "", 5e-3), "eta_tbptt")
-    _check("eta_tbptt", check_eta, eta_tbptt)
-    seed = _as_int(_take(d, "seed", "", 0), "seed")
-    timing_epochs = _as_int(_take(d, "timing_epochs", "", 200), "timing_epochs")
-    _check("timing_epochs", check_count, "timing_epochs", timing_epochs)
-    steps = _as_int(_take(d, "steps", "", 100), "steps")
-    _check("steps", check_count, "steps", steps)
-    plot = _as_bool(_take(d, "plot", "", False), "plot")
-    _done(d, "")
-    return CompareConfig(hidden, epochs, eta_bptt, eta_tbptt, seed, timing_epochs,
-                         steps, plot)
+    return ProjectionCliConfig(problem, model, init, training, direction_seed, alpha,
+                               beta, samples, theta_file, plot)

@@ -30,7 +30,7 @@ from .dynamics import (
     work_functional,
 )
 from .gradients import LossSpec, reset_vjp_count, vjp_count
-from .linalg import SeededRng, check_count
+from .linalg import SeededRng, check_count, check_positive
 from .nets import (
     RELU,
     TANH,
@@ -103,6 +103,9 @@ class GridSpec:
     y: Axis
 
 
+PHASE_GRID = GridSpec(Axis("w0", -2.0, 2.0, 41), Axis("b0", -2.0, 2.0, 41))
+
+
 # -- single-neuron initialization phase diagrams ------------------------------
 
 
@@ -116,6 +119,7 @@ class PhaseResult:
     x0: float
     xstar: float
     method: str
+    steps: int  # simulator steps per run; read by train_adam only
     mse: np.ndarray  # shape (grid.x.count, grid.y.count)
 
     def to_csv(self) -> str:
@@ -127,7 +131,7 @@ class PhaseResult:
         return "\n".join(lines) + "\n"
 
     def manifest(self) -> dict:
-        return {
+        doc = {
             "experiment": "phase_diagram",
             "kind": self.kind,
             "grid": {"x": {"name": self.grid.x.name, **self.grid.x.manifest()},
@@ -139,6 +143,9 @@ class PhaseResult:
             "xstar": self.xstar,
             "method": self.method,
         }
+        if self.method == "train_adam":
+            doc["steps"] = self.steps
+        return doc
 
 
 def _phase_mse(kind: str, w: float, b: float, bstar: float) -> float:
@@ -162,7 +169,7 @@ def _phase_cell_train(kind: str, w0: float, b0: float, eta: float, epochs: int,
 
 def phase_diagram(
     kind: str,
-    grid: GridSpec | None = None,
+    grid: GridSpec = PHASE_GRID,
     eta: float = 0.1,
     epochs: int = 300,
     horizon: float = 1.0,
@@ -184,8 +191,7 @@ def phase_diagram(
         raise ValueError(f"method must be 'map' or 'train_adam', got {method!r}")
     check_eta(eta)
     check_count("epochs", epochs)
-    if grid is None:
-        grid = GridSpec(Axis("w0", -2.0, 2.0, 41), Axis("b0", -2.0, 2.0, 41))
+    check_positive("horizon", horizon)
     bstar = (xstar - x0) / horizon
     ws, bs = grid.x.values(), grid.y.values()
     out = np.empty((grid.x.count, grid.y.count))
@@ -200,7 +206,7 @@ def phase_diagram(
                 w, b = _phase_cell_train(kind, float(w0), float(b0), eta, epochs,
                                          horizon, x0, xstar, steps)
             out[i, j] = _phase_mse(kind, w, b, bstar)
-    return PhaseResult(kind, grid, eta, epochs, horizon, x0, xstar, method, out)
+    return PhaseResult(kind, grid, eta, epochs, horizon, x0, xstar, method, steps, out)
 
 
 def phase_spot_check(
@@ -221,6 +227,7 @@ def phase_spot_check(
     and, for optimizer 'sd', the endpoint of the analytic map from the same
     start (the two follow the same flow up to O(1/steps) discretization).
     """
+    check_positive("horizon", horizon)
     rng = SeededRng(seed)
     bstar = (xstar - x0) / horizon
     rows = []
@@ -411,7 +418,7 @@ class SweepResult:
         return {
             "experiment": "depth_width_sweep",
             "preset": cfg.name,
-            "problem": _problem_manifest(cfg.problem),
+            "problem": problem_manifest(cfg.problem),
             "activation": {"name": cfg.activation.kind,
                            "slope": cfg.activation.slope,
                            "alpha": cfg.activation.alpha},
@@ -456,7 +463,7 @@ def _init_manifest(init: InitScheme) -> dict:
             "bias_value": init.bias_value}
 
 
-def _problem_manifest(problem: ControlProblem) -> dict:
+def problem_manifest(problem: ControlProblem) -> dict:
     dyn = problem.dynamics
     return {
         "dynamics": dyn.name,
@@ -474,6 +481,13 @@ def _problem_manifest(problem: ControlProblem) -> dict:
 
 @dataclass(frozen=True)
 class ProtocolComparison:
+    problem: ControlProblem
+    hidden: tuple[int, ...]
+    epochs: int
+    eta_bptt: float
+    eta_tbptt: float
+    seed: int
+    timing_epochs: int
     bptt: TrainResult
     tbptt: TrainResult
     bptt_vjps_per_epoch: float
@@ -508,6 +522,18 @@ class ProtocolComparison:
                       "vjps_per_epoch": self.tbptt_vjps_per_epoch,
                       "seconds_per_epoch": self.tbptt_seconds_per_epoch},
             "energy_star": self.energy_star,
+        }
+
+    def manifest(self) -> dict:
+        return {
+            **self.summary(),
+            "hidden": list(self.hidden),
+            "epochs": self.epochs,
+            "eta_bptt": self.eta_bptt,
+            "eta_tbptt": self.eta_tbptt,
+            "seed": self.seed,
+            "timing_epochs": self.timing_epochs,
+            "steps": self.problem.steps,
         }
 
 
@@ -554,6 +580,13 @@ def protocol_comparison(
     estar = linear_nd_oc(dyn.A, dyn.B, problem.x0, problem.x_star,
                          problem.T).energy
     return ProtocolComparison(
+        problem=problem,
+        hidden=tuple(hidden),
+        epochs=epochs,
+        eta_bptt=eta_bptt,
+        eta_tbptt=eta_tbptt,
+        seed=seed,
+        timing_epochs=timing_epochs,
         bptt=res_b,
         tbptt=res_t,
         bptt_vjps_per_epoch=vjps_b,
@@ -582,6 +615,7 @@ class MuSweepResult:
     seed: int
     epochs: int
     eta: float
+    steps: int
 
     def to_csv(self) -> str:
         lines = ["mu,loss,work,energy,diverged"]
@@ -595,6 +629,7 @@ class MuSweepResult:
             "mus": [p.mu for p in self.points],
             "seed": self.seed,
             "epochs": self.epochs,
+            "steps": self.steps,
             "optimizer": {"name": "adam", "eta": self.eta},
             "net": {"hidden": list(MU_SWEEP_NET.hidden),
                     "activation": MU_SWEEP_NET.activation.kind},
@@ -639,7 +674,7 @@ def mu_sweep(
         e = control_energy(traj)
         finite = all(np.isfinite(v) for v in (loss, w, e))
         points.append(MuSweepPoint(mu, loss, w, e, diverged=res.diverged or not finite))
-    return MuSweepResult(tuple(points), seed=seed, epochs=epochs, eta=eta)
+    return MuSweepResult(tuple(points), seed=seed, epochs=epochs, eta=eta, steps=steps)
 
 
 # -- depth scan on the moving particle ----------------------------------------

@@ -27,6 +27,11 @@ from .dynamics import (
 from .experiments import Axis
 from .linalg import SeededRng
 
+# the default grid of every projection axis; a 2-D projection's beta axis
+# takes the same range and count
+PROJECTION_AXIS = Axis("alpha", -0.4, 0.4, 101)
+_RANGE = (PROJECTION_AXIS.lo, PROJECTION_AXIS.hi)
+
 
 @dataclass(frozen=True)
 class ProjectionSpec:
@@ -35,7 +40,7 @@ class ProjectionSpec:
 
     theta_star: np.ndarray
     delta: np.ndarray
-    alpha: Axis = Axis("alpha", -0.4, 0.4, 101)
+    alpha: Axis = PROJECTION_AXIS
     d2: np.ndarray | None = None
     beta: Axis | None = None
     seed: int | None = None
@@ -85,10 +90,10 @@ def make_projection(
     theta_star: np.ndarray,
     seed: int,
     two_d: bool = False,
-    alpha_range: tuple[float, float] = (-0.4, 0.4),
-    alpha_count: int = 101,
-    beta_range: tuple[float, float] = (-0.4, 0.4),
-    beta_count: int = 101,
+    alpha_range: tuple[float, float] = _RANGE,
+    alpha_count: int = PROJECTION_AXIS.count,
+    beta_range: tuple[float, float] = _RANGE,
+    beta_count: int = PROJECTION_AXIS.count,
 ) -> ProjectionSpec:
     """Draw fresh Gaussian directions for theta_star under the given seed;
     the beta range and count are read for a 2-D projection only."""

@@ -53,6 +53,12 @@ def check_count(name: str, n: int) -> None:
         raise ValueError(f"{name} must be >= 1, got {n}")
 
 
+def check_positive(name: str, x: float) -> None:
+    """Raise a ValueError naming x unless it is above 0."""
+    if not x > 0.0:
+        raise ValueError(f"{name} must be positive, got {x}")
+
+
 def check_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     m = as_matrix(a, name)
     if m.shape[0] != m.shape[1]:

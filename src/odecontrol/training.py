@@ -127,7 +127,6 @@ class TrainHistory:
     delta_u_pred: list = field(default_factory=list)
     e_dot_l: list = field(default_factory=list)
     cos_angle: list = field(default_factory=list)
-    snapshots: list = field(default_factory=list)  # (epoch, theta copy)
 
     def append(self, epoch, loss, energy, grad_norm, ddu=math.nan, ddu_pred=math.nan,
                e_dot_l=math.nan, cos_angle=math.nan):
@@ -221,7 +220,6 @@ def train(
     seed: int = 0,
     record_delta_u: bool = False,
     record_energy_identity: bool = False,
-    snapshot_stride: int = 0,
 ) -> TrainResult:
     """Train a controller for a fixed number of epochs.
 
@@ -297,9 +295,6 @@ def train(
             e_dot_l = float(e_grad @ grad)
             denom = float(np.sqrt(e_grad @ e_grad)) * gnorm
             cos_angle = e_dot_l / denom if denom > 0.0 else math.nan
-
-        if snapshot_stride and epoch % snapshot_stride == 0:
-            history.snapshots.append((epoch, theta.copy()))
 
         # same guard as the gradient pass: the step itself can overflow on an
         # iterate that is about to be flagged by the integrator

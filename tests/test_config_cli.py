@@ -4,6 +4,7 @@ anything is written; divergence keeps partial outputs and exits 3; reruns
 of the same config must produce byte-identical CSVs."""
 
 import copy
+import inspect
 import json
 import pathlib
 import xml.etree.ElementTree as ET
@@ -15,13 +16,10 @@ from odecontrol import __version__
 from odecontrol.cli import main
 from odecontrol.config import (
     ConfigError,
-    build_loss,
-    build_model,
-    build_optimizer,
-    build_problem,
     load_json,
     parse_compare_config,
     parse_musweep_config,
+    parse_network,
     parse_phase_config,
     parse_problem,
     parse_project_config,
@@ -29,7 +27,22 @@ from odecontrol.config import (
     parse_sweep_config,
     parse_training,
 )
-from odecontrol.nets import ConstantControl, MlpSpec, SingleNeuron, theta_from_json
+from odecontrol.experiments import (
+    PHASE_GRID,
+    SWEEP_PRESETS,
+    Axis,
+    phase_diagram,
+    protocol_comparison,
+)
+from odecontrol.gradients import LossSpec
+from odecontrol.nets import (
+    ConstantControl,
+    InitScheme,
+    MlpSpec,
+    SingleNeuron,
+    theta_from_json,
+    theta_to_json,
+)
 from odecontrol.training import Adam, Sd
 
 RUN_DOC = {
@@ -74,11 +87,12 @@ def edited(doc, **changes):
 class TestRunConfigParsing:
     def test_happy_path(self):
         cfg = parse_run_config(json.loads(json.dumps(RUN_DOC)))
-        assert cfg.problem.kind == "integrator"
-        assert cfg.problem.x_star == (-1.0,)
-        assert cfg.network.kind == "single_neuron"
-        assert cfg.training.optimizer == "sd"
-        assert cfg.training.eta == 0.5
+        assert cfg.problem.steps == 20
+        np.testing.assert_array_equal(cfg.problem.x_star, [-1.0])
+        assert isinstance(cfg.model, SingleNeuron)
+        assert cfg.init == InitScheme.constant(0.0)
+        assert cfg.training.optimizer == Sd(0.5)
+        assert cfg.training.epochs == 8
         assert cfg.raw["problem"]["steps"] == 20
 
     def test_missing_section(self):
@@ -118,11 +132,10 @@ class TestRunConfigParsing:
 
     def test_builders(self):
         cfg = parse_run_config(json.loads(json.dumps(RUN_DOC)))
-        problem = build_problem(cfg.problem)
-        np.testing.assert_allclose(problem.dynamics.A, [[0.0]])
-        assert isinstance(build_model(cfg.network), SingleNeuron)
-        assert isinstance(build_optimizer(cfg.training), Sd)
-        assert build_loss(cfg.training).integrated is None
+        np.testing.assert_allclose(cfg.problem.dynamics.A, [[0.0]])
+        assert isinstance(cfg.model, SingleNeuron)
+        assert isinstance(cfg.training.optimizer, Sd)
+        assert cfg.training.loss.integrated is None
 
     def test_build_model_kinds(self):
         cfg = parse_run_config({
@@ -130,36 +143,36 @@ class TestRunConfigParsing:
             "network": {"hidden": [4, 4]},
             "training": {"cost": "energy", "mu": 0.1},
         })
-        model = build_model(cfg.network, out_dim=1)
-        assert isinstance(model, MlpSpec)
-        assert isinstance(build_optimizer(cfg.training), Adam)
-        loss = build_loss(cfg.training)
-        assert loss.integrated == "energy" and loss.mu == 0.1
-        const = build_model(parse_run_config({
-            "problem": {"kind": "integrator"},
-            "network": {"kind": "constant"},
-        }).network, out_dim=2)
-        assert isinstance(const, ConstantControl)
+        assert isinstance(cfg.model, MlpSpec) and cfg.model.out_dim == 1
+        assert cfg.init == InitScheme.constant(0.1)
+        assert cfg.training.optimizer == Adam(1e-2)
+        assert cfg.training.loss == LossSpec.energy(0.1)
+        const, init = parse_network({"kind": "constant"}, out_dim=2)
+        assert isinstance(const, ConstantControl) and const.out_dim == 2
+        assert init == InitScheme.constant(0.1)
 
     def test_single_neuron_needs_scalar_control(self):
-        cfg = parse_run_config({
-            "problem": {"kind": "integrator"},
-            "network": {"kind": "single_neuron"},
-        })
-        with pytest.raises(ConfigError, match="scalar"):
-            build_model(cfg.network, out_dim=2)
+        with pytest.raises(ConfigError, match="scalar") as err:
+            parse_run_config({
+                "problem": {"kind": "linear", "a": [[0.0]], "b": [[1.0, 1.0]],
+                            "x0": [0.0], "x_star": [1.0]},
+                "network": {"kind": "single_neuron"},
+            })
+        assert err.value.path == "network.kind"
 
     def test_linear_problem_needs_states(self):
         with pytest.raises(ConfigError, match="explicit x0 and x_star"):
             parse_problem({"kind": "linear", "a": [[0.0]], "b": [[1.0]]})
 
     def test_particle_defaults(self):
-        cfg = parse_problem({"kind": "particle"})
-        assert cfg.x0 == (0.0, 1.0)
-        assert cfg.x_star == (1.0, 1.0)
+        problem = parse_problem({"kind": "particle"})
+        assert problem.dynamics.name == "moving_particle"
+        np.testing.assert_array_equal(problem.x0, [0.0, 1.0])
+        np.testing.assert_array_equal(problem.x_star, [1.0, 1.0])
 
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
+SHIPPED = sorted(CONFIGS.glob("*.json"))
 PARSERS = {
     "train": parse_run_config,
     "project": parse_project_config,
@@ -170,14 +183,65 @@ PARSERS = {
 }
 
 
-@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.name)
 def test_shipped_config_parses_and_builds(path):
-    cfg = PARSERS[path.stem.split("_")[0]](load_json(str(path)))
-    if hasattr(cfg, "network"):
-        problem = build_problem(cfg.problem)
-        build_model(cfg.network, out_dim=problem.dynamics.m)
-        build_optimizer(cfg.training)
-        build_loss(cfg.training)
+    # parsing builds the problem, controller, optimizer, loss and axes
+    PARSERS[path.stem.split("_")[0]](load_json(str(path)))
+
+
+def cut_down(kind, doc):
+    """The shipped config doc with few epochs, steps and grid points."""
+    doc = copy.deepcopy(doc)
+    if kind in ("train", "project"):
+        doc["training"]["epochs"] = 3
+        doc["problem"]["steps"] = min(doc["problem"].get("steps", 100), 50)
+    if kind == "project":
+        for axis in ("alpha", "beta"):
+            if axis in doc["projection"]:
+                doc["projection"][axis]["count"] = 5
+        doc["projection"]["samples"] = 10
+    elif kind == "phase":
+        doc["w0"]["count"] = doc["b0"]["count"] = 3
+        doc["epochs"] = 5
+    elif kind == "sweep":
+        doc.update(layers=[1, 2], max_neurons=[4, 8], epochs=2, steps=20)
+    elif kind == "musweep":
+        doc.update(mus=doc["mus"][:2], epochs=2, steps=20)
+    elif kind == "compare":
+        doc.update(epochs=3, timing_epochs=2, steps=20)
+    return doc
+
+
+COMMANDS = {"compare": "compare-protocols"}
+WRITES = {  # the data files of each command; plots add its svgs
+    "train": (["best_theta.json", "history.csv"], ["control.svg", "energy.svg", "loss.svg"]),
+    "phase": (["grid.csv"], ["phase.svg"]),
+    "sweep": (["grid.csv"], ["energy.svg", "loss.svg"]),
+    "musweep": (["grid.csv"], ["musweep.svg"]),
+    "project": (["projection.csv"], ["projection.svg"]),
+    "compare": (["history.csv"], ["loss.svg"]),
+}
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.name)
+def test_shipped_config_runs_end_to_end(path, tmp_path, capsys):
+    kind = path.stem.split("_")[0]
+    doc = cut_down(kind, load_json(str(path)))
+    cfg = write_json(tmp_path / path.name, doc)
+    outdir = tmp_path / "out"
+    command = COMMANDS.get(kind, kind)
+    assert main([command, "--config", cfg, "--out", str(outdir)]) == 0
+    capsys.readouterr()
+    data, svgs = WRITES[kind]
+    plot = doc.get("output", doc).get("plot", False)
+    want = sorted(["manifest.json", *data, *(svgs if plot else [])])
+    assert sorted(p.name for p in outdir.iterdir()) == want
+    assert json.loads((outdir / "manifest.json").read_text())["command"] == command
+    for name in want:
+        text = (outdir / name).read_text()
+        assert text.strip()
+        if name.endswith(".svg"):
+            assert ET.fromstring(text).tag.endswith("svg")
 
 
 class TestLoadJson:
@@ -196,11 +260,16 @@ class TestLoadJson:
 
 class TestExperimentConfigs:
     def test_phase_defaults_and_axes(self):
-        cfg = parse_phase_config({"kind": "relu", "w0": {"lo": -1.0, "hi": 1.0, "count": 5}})
-        assert cfg.kind == "relu"
-        assert cfg.w0 == (-1.0, 1.0, 5)
-        assert cfg.b0 == (-2.0, 2.0, 41)
-        assert cfg.method == "map"
+        kw, plot = parse_phase_config({"kind": "relu",
+                                       "w0": {"lo": -1.0, "hi": 1.0, "count": 5}})
+        assert kw == {"kind": "relu", "grid": kw["grid"]} and plot is False
+        assert kw["grid"].x == Axis("w0", -1.0, 1.0, 5)
+        assert kw["grid"].y == PHASE_GRID.y == Axis("b0", -2.0, 2.0, 41)
+        # a key the config leaves out takes phase_diagram's default
+        assert inspect.signature(phase_diagram).parameters["method"].default == "map"
+        assert parse_phase_config({}) == ({"kind": "linear"}, False)
+        kw, _ = parse_phase_config({"x_star": 0.5, "method": "train_adam", "steps": 7})
+        assert kw == {"kind": "linear", "xstar": 0.5, "method": "train_adam", "steps": 7}
 
     def test_phase_axis_unknown_key(self):
         with pytest.raises(ConfigError) as err:
@@ -208,10 +277,10 @@ class TestExperimentConfigs:
         assert err.value.path == "w0"
 
     def test_sweep_preset_choices(self):
-        cfg = parse_sweep_config({"preset": "constant", "layers": [1, 2]})
-        assert cfg.preset == "constant"
+        cfg, plot = parse_sweep_config({"preset": "constant", "layers": [1, 2]})
+        assert cfg.name == "constant" and plot is False
         assert cfg.layers == (1, 2)
-        assert cfg.max_neurons is None
+        assert cfg.max_neurons == SWEEP_PRESETS["constant"]["max_neurons"]
         with pytest.raises(ConfigError, match="expected one of"):
             parse_sweep_config({"preset": "spiral"})
 
@@ -221,11 +290,14 @@ class TestExperimentConfigs:
         assert err.value.path == "mus"
 
     def test_compare_defaults(self):
-        cfg = parse_compare_config({})
-        assert cfg.hidden == (14, 14)
-        assert cfg.eta_bptt == 3e-3
-        assert cfg.eta_tbptt == 5e-3
-        assert cfg.timing_epochs == 200
+        assert parse_compare_config({}) == ({}, False)
+        defaults = inspect.signature(protocol_comparison).parameters
+        assert defaults["hidden"].default == (14, 14)
+        assert defaults["eta_bptt"].default == 3e-3
+        assert defaults["eta_tbptt"].default == 5e-3
+        assert defaults["timing_epochs"].default == 200
+        kw, _ = parse_compare_config({"hidden": [3], "steps": 30})
+        assert kw["hidden"] == (3,) and kw["problem"].steps == 30
 
 
 class TestOcCommand:
@@ -404,6 +476,8 @@ class TestConfigErrorsExit2:
         ("phase", edited(PHASE_DOC, eta=-1.0), "eta"),
         ("phase", edited(PHASE_DOC, epochs=0), "epochs"),
         ("project", edited(PROJECT_DOC, projection__samples=0), "projection.samples"),
+        ("phase", edited(PHASE_DOC, horizon=0.0), "horizon"),
+        ("phase", edited(PHASE_DOC, method="train_adam", horizon=-1.0), "horizon"),
     ], ids=["epochs-0", "eta-negative", "steps-0", "horizon-0", "hidden-width-0",
             "mu-negative", "phase-axis-count-1", "project-axis-count-2", "eta-nan",
             "eta-beyond-float", "x-star-inf", "linear-a-nan", "activation-typo",
@@ -412,7 +486,8 @@ class TestConfigErrorsExit2:
             "musweep-eta-negative", "musweep-mu-negative", "musweep-steps-0",
             "sweep-epochs-0", "sweep-layer-deeper-than-max-neurons", "sweep-steps-0",
             "phase-train-adam-eta-negative", "phase-train-adam-steps-0",
-            "phase-map-eta-negative", "phase-map-epochs-0", "project-samples-0"])
+            "phase-map-eta-negative", "phase-map-epochs-0", "project-samples-0",
+            "phase-horizon-0", "phase-horizon-negative"])
     def test_config_command(self, tmp_path, capsys, command, doc, where):
         cfg = write_json(tmp_path / "cfg.json", doc)
         outdir = tmp_path / "out"
@@ -436,9 +511,17 @@ class TestConfigErrorsExit2:
         ("project", edited(PROJECT_DOC, projection__beta={"lo": -0.1, "hi": 0.1, "count": 3}),
          "projection", "beta"),
         ("phase", edited(PHASE_DOC, steps=50), "top level", "steps"),
+        ("project", edited(PROJECT_DOC, network={"hidden": [3]},
+                           projection__theta_file="theta.json"), "top level", "training"),
+        ("project", edited({k: v for k, v in PROJECT_DOC.items() if k != "training"},
+                           projection__theta_file="theta.json"), "network", "init"),
+        ("project", edited(PROJECT_DOC, training__record_delta_u=True),
+         "training", "record_delta_u"),
     ], ids=["bias-on-constant", "bias-on-single-neuron", "activation-on-constant",
             "mu-with-terminal-cost", "variant-with-bptt", "schedule-with-bptt",
-            "snapshot-stride", "beta-in-1d-projection", "steps-with-map-method"])
+            "snapshot-stride", "beta-in-1d-projection", "steps-with-map-method",
+            "training-with-theta-file", "init-with-theta-file",
+            "recorder-in-project"])
     def test_key_without_effect_is_unknown(self, tmp_path, capsys, command, doc, where, key):
         cfg = write_json(tmp_path / "cfg.json", doc)
         outdir = tmp_path / "out"
@@ -505,6 +588,39 @@ class TestExperimentCommands:
         assert manifest["direction_seed"] == 1
         assert manifest["training_seed"] == 0
         assert "center_loss" in manifest
+        assert manifest["problem"] == {"dynamics": "linear", "x0": [0.0], "x_star": [-1.0],
+                                       "horizon": 1.0, "steps": 20, "a": [[0.0]],
+                                       "b": [[1.0]]}
+
+    def test_project_around_theta_file(self, tmp_path, capsys):
+        model = MlpSpec((3,))
+        theta = np.linspace(-0.5, 0.5, model.n_params)
+        (tmp_path / "theta.json").write_text(theta_to_json(model, theta))
+        doc = {k: v for k, v in PROJECT_DOC.items() if k != "training"}
+        doc = edited(doc, network={"hidden": [3]},
+                     projection__theta_file=str(tmp_path / "theta.json"))
+        cfg = write_json(tmp_path / "proj.json", doc)
+        outdir = tmp_path / "proj_out"
+        assert main(["project", "--config", cfg, "--out", str(outdir)]) == 0
+        capsys.readouterr()
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert manifest["theta_star"] == theta.tolist()
+        assert not {"training_seed", "center_loss", "center_epoch"} & set(manifest)
+
+    @pytest.mark.parametrize("command, doc", [
+        ("musweep", MUSWEEP_DOC),
+        ("phase", edited(PHASE_DOC, method="train_adam", epochs=2)),
+        ("compare-protocols", COMPARE_DOC),
+    ])
+    def test_manifest_records_steps(self, tmp_path, capsys, command, doc):
+        manifests = []
+        for steps in (20, 30):
+            cfg = write_json(tmp_path / "cfg.json", edited(doc, steps=steps))
+            outdir = tmp_path / str(steps)
+            assert main([command, "--config", cfg, "--out", str(outdir)]) == 0
+            manifests.append(json.loads((outdir / "manifest.json").read_text()))
+        capsys.readouterr()
+        assert [m["steps"] for m in manifests] == [20, 30]
 
     def test_compare_protocols_outputs(self, tmp_path, capsys):
         doc = {"hidden": [3], "epochs": 4, "timing_epochs": 2, "steps": 30}

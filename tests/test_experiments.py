@@ -118,6 +118,7 @@ class TestPhaseDiagram:
         res = phase_diagram("linear", grid=grid, eta=0.1, epochs=40,
                             method="train_adam", steps=40)
         assert res.mse.shape == (2, 2)
+        assert res.manifest()["steps"] == 40
         assert np.all(np.isfinite(res.mse))
         assert np.all(res.mse >= 0.0)
 
@@ -137,6 +138,14 @@ class TestPhaseDiagram:
         assert doc["kind"] == "relu"
         assert doc["grid"]["x"]["count"] == 3
         assert doc["eta"] == 0.2
+        assert "steps" not in doc  # the map method never runs the simulator
+
+    @pytest.mark.parametrize("horizon", [0.0, -1.0])
+    def test_horizon_validation(self, horizon):
+        with pytest.raises(ValueError, match="horizon must be positive"):
+            phase_diagram("linear", grid=self.GRID, horizon=horizon)
+        with pytest.raises(ValueError, match="horizon must be positive"):
+            phase_spot_check("linear", n_cells=1, horizon=horizon)
 
     def test_kind_validation(self):
         with pytest.raises(ValueError, match="kind"):
@@ -294,6 +303,10 @@ class TestProtocolComparison:
         assert doc["bptt"]["vjps_per_epoch"] == 100.0
         assert doc["tbptt"]["vjps_per_epoch"] == 1.0
         assert doc["energy_star"] == pc.energy_star
+        manifest = json.loads(json.dumps(pc.manifest()))
+        assert manifest == {**doc, "hidden": [4], "epochs": 30, "eta_bptt": 3e-3,
+                            "eta_tbptt": 5e-3, "seed": 0, "timing_epochs": 5,
+                            "steps": 100}
 
 
 class TestMuSweep:
@@ -323,7 +336,7 @@ class TestMuSweep:
         doc = mu_sweep(mus=(1e-3,), epochs=1, steps=10).manifest()
         assert json.dumps(doc) == (
             '{"experiment": "mu_sweep", "mus": [0.0, 0.001], "seed": 0, "epochs": 1, '
-            '"optimizer": {"name": "adam", "eta": 0.1}, '
+            '"steps": 10, "optimizer": {"name": "adam", "eta": 0.1}, '
             '"net": {"hidden": [6, 6, 6, 6, 6, 6, 6, 6], "activation": "elu"}, '
             '"init": {"kind": "uniform", "bound_rule": "inv_sqrt_k", '
             '"scale": 2.449489742783178, "bias_value": 0.01}}'
