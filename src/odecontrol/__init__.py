@@ -50,7 +50,7 @@ from .oracles import (
     relu_neuron_map,
     scalar_linear_oc,
 )
-from .training import Adam, Protocol, Sd, TrainResult, train
+from .training import Adam, Protocol, Sd, TrainResult, train, train_runs
 from .experiments import (
     architecture_scan,
     depth_width_sweep,

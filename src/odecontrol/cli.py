@@ -322,6 +322,9 @@ def cmd_musweep(args) -> int:
 
 def cmd_project(args) -> int:
     cfg = parse_project_config(load_json(args.config))
+    if cfg.training is None and args.seed is not None:
+        raise ConfigError("--seed", "projection.theta_file fixes the center, so nothing "
+                          "is trained and there is no seed to override")
     outdir = _outdir(args, "out/project")
     if cfg.theta_file is not None:
         with open(cfg.theta_file) as fh, section("projection.theta_file"):
@@ -446,13 +449,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, workers=False):
+    def common(sp, workers=False, seed=True):
         sp.add_argument("--config", required=True, help="JSON config path")
         if workers:
             sp.add_argument("--workers", type=int, default=1,
                             help="process-pool size for grid cells (default 1)")
-        sp.add_argument("--seed", type=int, default=None,
-                        help="override the config's seed")
+        if seed:
+            sp.add_argument("--seed", type=int, default=None,
+                            help="override the config's seed")
         sp.add_argument("--out", default=None, help="output directory override")
 
     common(sub.add_parser("train", help="train one controller from a config"))
@@ -463,7 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
     oc.add_argument("--flow2d", action="store_true", help="the 2-D benchmark")
     oc.add_argument("--particle", action="store_true", help="the moving particle")
     oc.add_argument("params", nargs="*", help="key=value problem constants")
-    common(sub.add_parser("phase", help="single-neuron initialization diagram"))
+    # a phase grid draws nothing at random, so it takes no seed
+    common(sub.add_parser("phase", help="single-neuron initialization diagram"), seed=False)
     common(sub.add_parser("sweep", help="depth/width sweep from a preset"), workers=True)
     common(sub.add_parser("musweep", help="work-multiplier sweep"))
     common(sub.add_parser("project", help="loss-landscape projection"), workers=True)

@@ -15,15 +15,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DimensionError, as_matrix, as_vector, check_count
+from .linalg import DimensionError, as_matrix, as_vector, check_count, row_dot
 
 
 class DivergenceError(RuntimeError):
-    """State left the finite range during integration; `step` says where."""
+    """State left the finite range during integration; `step` says where.
 
-    def __init__(self, step: int, message: str | None = None):
+    `steps` holds each run's first non-finite step, -1 for a run that stayed
+    finite (a 0-d array for a single run); `step` is the earliest of them.
+    """
+
+    def __init__(self, step: int, message: str | None = None, steps=None):
         super().__init__(message or f"trajectory diverged at step {step}")
         self.step = int(step)
+        self.steps = np.asarray(self.step if steps is None else steps)
 
 
 class LinearDynamics:
@@ -94,19 +99,27 @@ class ControlProblem:
         if self.T <= 0.0:
             raise ValueError(f"T must be positive, got {self.T}")
         check_count("steps", self.steps)
+        # every rollout reads the grid, so it is built once and shared read-only
+        times = np.linspace(0.0, self.T, self.steps + 1)
+        times.flags.writeable = False
+        object.__setattr__(self, "_times", times)
 
     @property
     def dt(self) -> float:
         return self.T / self.steps
 
     def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.T, self.steps + 1)
+        """The K+1 grid times t_k = k T / K (read-only)."""
+        return self._times
 
 
 @dataclass
 class Trajectory:
     """K+1 states on the time grid plus the K left-endpoint controls.
 
+    A population of runs puts its run axes first: states (..., K+1, n) and
+    controls (..., K, m) on the shared times, and the functionals below
+    return one value per run.
     `dynamics` records what the trajectory was integrated under (metadata for
     functionals like work that need to interpret the state layout); it is not
     part of value equality.
@@ -119,18 +132,28 @@ class Trajectory:
 
     def __post_init__(self):
         self.times = as_vector(self.times, "times")
-        self.states = as_matrix(self.states, "states")
-        self.controls = as_matrix(self.controls, "controls")
+        self.states = np.asarray(self.states, dtype=np.float64)
+        self.controls = np.asarray(self.controls, dtype=np.float64)
         k = len(self.times) - 1
         if k < 1:
             raise DimensionError("trajectory needs at least two time points")
-        if self.states.shape[0] != k + 1:
+        if self.states.ndim < 2 or self.controls.ndim != self.states.ndim:
             raise DimensionError(
-                f"states must have {k + 1} rows, got {self.states.shape[0]}"
+                f"states and controls must be (..., rows, columns) with the same run "
+                f"axes, got shapes {self.states.shape} and {self.controls.shape}"
             )
-        if self.controls.shape[0] != k:
+        if self.states.shape[-2] != k + 1:
             raise DimensionError(
-                f"controls must have {k} rows, got {self.controls.shape[0]}"
+                f"states must have {k + 1} rows, got {self.states.shape[-2]}"
+            )
+        if self.controls.shape[-2] != k:
+            raise DimensionError(
+                f"controls must have {k} rows, got {self.controls.shape[-2]}"
+            )
+        if self.states.shape[:-2] != self.controls.shape[:-2]:
+            raise DimensionError(
+                f"states and controls must have the same run axes, got shapes "
+                f"{self.states.shape} and {self.controls.shape}"
             )
 
     @property
@@ -142,7 +165,7 @@ class Trajectory:
         return float(self.times[1] - self.times[0])
 
     def final_state(self) -> np.ndarray:
-        return self.states[-1]
+        return self.states[..., -1, :]
 
     def to_csv(self, path_or_file) -> None:
         """t, x1..xn, u1..um rows; the final row has empty control fields."""
@@ -176,64 +199,109 @@ class Trajectory:
         return buf.getvalue()
 
 
+def euler_states(problem: ControlProblem, controls: np.ndarray) -> np.ndarray:
+    """States (..., K+1, n) of the Euler recursion under (..., K, m) controls.
+
+    Leading axes are independent runs. The scan fills a time-major column
+    buffer (K+1, ..., n, 1) in place, and every A x_k is the stacked matvec
+    np.matmul(A, x_k): numpy makes one BLAS call per run with the same
+    arguments as a single run's A @ x_k, so each run's states equal its own
+    scan bit for bit. Raises DivergenceError naming each run's first step
+    whose state is not finite; once a state is inf or NaN every later one is
+    too, so one check after the scan finds the step a per-step check would.
+    """
+    dyn = problem.dynamics
+    k_steps, dt, a = problem.steps, problem.dt, dyn.A
+    lead = controls.shape[:-2]
+    states = np.empty((k_steps + 1,) + lead + (dyn.n, 1))
+    states[0] = problem.x0[:, None]
+    step = np.empty(lead + (dyn.n, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        bu = time_major(controls @ dyn.B.T)[..., None]
+        x = states[0]
+        for bu_k, x_next in zip(bu, states[1:]):
+            np.matmul(a, x, step)
+            step += bu_k
+            step *= dt
+            x = np.add(x, step, x_next)
+    bad = ~np.isfinite(states[1:]).all(axis=(-2, -1))
+    if bad.any():
+        first = np.where(bad.any(axis=0), bad.argmax(axis=0), -1)
+        raise DivergenceError(first[first >= 0].min(), steps=first)
+    # a single run's (K+1, n) view is contiguous already; a population's
+    # copy lays each run out as a single run's states are
+    return np.ascontiguousarray(run_major(states[..., 0]))
+
+
+def time_major(a: np.ndarray) -> np.ndarray:
+    """The (K, ..., c) view of a (..., K, c) array: one row per time step."""
+    d = a.ndim
+    return a.transpose(d - 2, *range(d - 2), d - 1)
+
+
+def run_major(a: np.ndarray) -> np.ndarray:
+    """The (..., K, c) view of a (K, ..., c) array; undoes time_major."""
+    d = a.ndim
+    return a.transpose(*range(1, d - 1), 0, d - 1)
+
+
 def integrate_euler(problem: ControlProblem, controller) -> Trajectory:
-    """Forward Euler with left-endpoint control sampling.
+    """Forward Euler with left-endpoint control sampling, for one run.
 
     controller is a callable t -> (m,) control vector, which is sampled at
     t_0..t_{K-1} before the scan, or those K controls already sampled as a
-    (K, m) array (for a network, one forward_batch call; see rollout). Raises
-    DivergenceError carrying the first step whose state is not finite; once a
-    state is inf or NaN every later one is too, so one check after the scan
-    finds the step a per-step check would.
+    (K, m) array (for a network, one forward_batch call; see rollout). The
+    scan is euler_states, which raises DivergenceError carrying the first
+    step whose state is not finite.
     """
     dyn = problem.dynamics
     k_steps = problem.steps
-    dt = problem.dt
     times = problem.times()
-    n, m = dyn.n, dyn.m
+    m = dyn.m
     if callable(controller):
         controller = [np.asarray(controller(t), dtype=np.float64).reshape(m) for t in times[:-1]]
     controls = np.array(controller, dtype=np.float64)
     if controls.shape != (k_steps, m):
         raise DimensionError(f"controls must have shape ({k_steps}, {m}), got {controls.shape}")
-    a = dyn.A
-    states = np.empty((k_steps + 1, n))
-    x = states[0] = problem.x0
-    with np.errstate(over="ignore", invalid="ignore"):
-        bu = controls @ dyn.B.T
-        for k in range(k_steps):
-            x = states[k + 1] = x + dt * (a @ x + bu[k])
-    bad = ~np.isfinite(states[1:]).all(axis=1)
-    if bad.any():
-        raise DivergenceError(int(bad.argmax()))
-    return Trajectory(times, states, controls, dynamics=dyn)
+    return Trajectory(times, euler_states(problem, controls), controls, dynamics=dyn)
 
 
 def rollout(problem: ControlProblem, model, theta) -> Trajectory:
-    """Euler trajectory of a controller at theta, sampled once with forward_batch."""
-    return integrate_euler(problem, model.forward_batch(theta, problem.times()[:-1]))
+    """Euler trajectory of a controller at theta, sampled once with
+    forward_batch; a (..., P) theta gives the population's trajectory."""
+    controls = model.forward_batch(theta, problem.times()[:-1])
+    if controls.ndim == 2:
+        return integrate_euler(problem, controls)
+    return Trajectory(problem.times(), euler_states(problem, controls), controls,
+                      dynamics=problem.dynamics)
 
 
-def terminal_loss(traj: Trajectory, x_star) -> float:
+def _per_run(value):
+    """A Python float for one run, the array of values for a population."""
+    return float(value) if np.ndim(value) == 0 else value
+
+
+def terminal_loss(traj: Trajectory, x_star):
     """L = 1/2 ||x(T) - x*||^2."""
     d = traj.final_state() - as_vector(x_star, "x_star")
-    return 0.5 * float(d @ d)
+    return _per_run(0.5 * row_dot(d, d))
 
 
-def control_energy(traj: Trajectory) -> float:
+def control_energy(traj: Trajectory):
     """E = 1/2 dt sum_k ||u_k||^2, the left Riemann sum matching the solver."""
-    return 0.5 * traj.dt * float(np.sum(traj.controls * traj.controls))
+    u = traj.controls
+    return _per_run(0.5 * traj.dt * (u * u).sum(axis=(-2, -1)))
 
 
-def work_functional(traj: Trajectory) -> float:
+def work_functional(traj: Trajectory):
     """W = dt sum_k v_k u_k for the moving-particle system (v is state 2)."""
     if not isinstance(traj.dynamics, MovingParticleDynamics):
         raise ValueError(
             "work_functional is defined for moving-particle trajectories only"
         )
-    v = traj.states[:-1, 1]
-    u = traj.controls[:, 0]
-    return traj.dt * float(v @ u)
+    v = traj.states[..., :-1, 1]
+    u = traj.controls[..., :, 0]
+    return _per_run(traj.dt * row_dot(v, u))
 
 
 def mse_times(samples: int, horizon: float) -> np.ndarray:

@@ -11,7 +11,6 @@ manifest helpers; file layout is the caller's business.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -43,7 +42,8 @@ from .nets import (
     leaky_relu,
 )
 from .oracles import linear_nd_oc, linear_neuron_map, moving_particle_oc, relu_neuron_map
-from .training import Adam, Protocol, Sd, TrainResult, check_eta, train
+from .pool import cell_pool, thread_record
+from .training import Adam, Protocol, Sd, TrainResult, check_eta, train, train_runs
 
 
 def constant_problem(steps: int = 100) -> ControlProblem:
@@ -155,16 +155,16 @@ def _phase_mse(kind: str, w: float, b: float, bstar: float) -> float:
     return 0.5 * (w ** 2 + (b - bstar) ** 2)
 
 
-def _phase_cell_train(kind: str, w0: float, b0: float, eta: float, epochs: int,
-                      horizon: float, x0: float, xstar: float, steps: int,
-                      optimizer: str = "adam") -> tuple[float, float]:
-    """Train a single neuron through the simulator; returns final (w, b)."""
+def _phase_train(kind: str, thetas: np.ndarray, eta: float, epochs: int, horizon: float,
+                 x0: float, xstar: float, steps: int,
+                 optimizer: str = "adam") -> list[tuple[float, float]]:
+    """Train single neurons from the (w0, b0) rows of thetas through the
+    simulator, as one population; returns each run's final (w, b)."""
     act = RELU if kind == "relu" else Activation("linear")
-    model = SingleNeuron(act)
     problem = ControlProblem(integrator(), [x0], [xstar], horizon, steps)
     opt = Adam(eta) if optimizer == "adam" else Sd(eta)
-    res = train(problem, model, np.array([w0, b0]), opt, epochs)
-    return float(res.theta_final[0]), float(res.theta_final[1])
+    runs = train_runs(problem, SingleNeuron(act), thetas, opt, epochs)
+    return [(float(res.theta_final[0]), float(res.theta_final[1])) for res in runs]
 
 
 def phase_diagram(
@@ -193,19 +193,20 @@ def phase_diagram(
     check_count("epochs", epochs)
     check_positive("horizon", horizon)
     bstar = (xstar - x0) / horizon
-    ws, bs = grid.x.values(), grid.y.values()
-    out = np.empty((grid.x.count, grid.y.count))
-    for i, w0 in enumerate(ws):
-        for j, b0 in enumerate(bs):
-            if method == "map":
-                w, b = float(w0), float(b0)
-                step = linear_neuron_map if kind == "linear" else relu_neuron_map
-                for _ in range(epochs):
-                    w, b = step(w, b, eta, horizon, x0, xstar)
-            else:
-                w, b = _phase_cell_train(kind, float(w0), float(b0), eta, epochs,
-                                         horizon, x0, xstar, steps)
-            out[i, j] = _phase_mse(kind, w, b, bstar)
+    # cells row-major over (w0, b0)
+    starts = np.stack(np.meshgrid(grid.x.values(), grid.y.values(), indexing="ij"),
+                      axis=-1).reshape(-1, 2)
+    if method == "map":
+        step = linear_neuron_map if kind == "linear" else relu_neuron_map
+        finals = []
+        for w, b in starts.tolist():
+            for _ in range(epochs):
+                w, b = step(w, b, eta, horizon, x0, xstar)
+            finals.append((w, b))
+    else:
+        finals = _phase_train(kind, starts, eta, epochs, horizon, x0, xstar, steps)
+    out = np.array([_phase_mse(kind, w, b, bstar) for w, b in finals])
+    out = out.reshape(grid.x.count, grid.y.count)
     return PhaseResult(kind, grid, eta, epochs, horizon, x0, xstar, method, steps, out)
 
 
@@ -230,12 +231,12 @@ def phase_spot_check(
     check_positive("horizon", horizon)
     rng = SeededRng(seed)
     bstar = (xstar - x0) / horizon
+    starts = [(float(rng.uniform(-2.0, 2.0)), float(rng.uniform(-2.0, 2.0)))
+              for _ in range(n_cells)]
+    finals = _phase_train(kind, np.reshape(starts, (-1, 2)), eta, epochs, horizon, x0,
+                          xstar, steps, optimizer=optimizer)
     rows = []
-    for _ in range(n_cells):
-        w0 = float(rng.uniform(-2.0, 2.0))
-        b0 = float(rng.uniform(-2.0, 2.0))
-        w, b = _phase_cell_train(kind, w0, b0, eta, epochs, horizon, x0, xstar,
-                                 steps, optimizer=optimizer)
+    for (w0, b0), (w, b) in zip(starts, finals):
         if kind == "relu" and w <= 0.0:
             dist = abs(b - bstar)
         else:
@@ -395,6 +396,7 @@ def run_sweep_cell(cfg: SweepConfig, layers: int, max_neurons: int, seed: int) -
 class SweepResult:
     config: SweepConfig
     cells: tuple[SweepCellResult, ...]  # row-major over (layers, max_neurons)
+    blas_threads: dict  # see pool.thread_record
 
     def cell(self, layers: int, max_neurons: int) -> SweepCellResult:
         i = self.config.layers.index(layers)
@@ -433,13 +435,15 @@ class SweepResult:
                 [cell_seed(cfg.base_seed, i, j) for j in range(len(cfg.max_neurons))]
                 for i in range(len(cfg.layers))
             ],
+            "blas_threads": self.blas_threads,
         }
 
 
 def depth_width_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
     """Train every (layers, max_neurons) cell of the grid.
 
-    Cells are independent; workers > 1 runs them in a process pool. Results
+    Cells are independent; workers > 1 runs them in a process pool whose
+    workers run BLAS on one thread (see pool.cell_pool). Results
     are stored row-major over (layers, max_neurons) regardless of completion
     order. A diverged cell is flagged and the sweep continues.
     """
@@ -451,11 +455,11 @@ def depth_width_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
     ))
     args = (repeat(cfg), layers, max_neurons, seeds)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with cell_pool(workers) as pool:
             cells = list(pool.map(run_sweep_cell, *args, chunksize=1))
     else:
         cells = list(map(run_sweep_cell, *args))
-    return SweepResult(config=cfg, cells=tuple(cells))
+    return SweepResult(config=cfg, cells=tuple(cells), blas_threads=thread_record(workers))
 
 
 def _init_manifest(init: InitScheme) -> dict:

@@ -14,7 +14,9 @@ sensitivity downstream of k'.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -24,7 +26,9 @@ from .dynamics import (
     Trajectory,
     control_energy,
     rollout,
+    run_major,
     terminal_loss,
+    time_major,
     work_functional,
 )
 
@@ -93,7 +97,14 @@ def bptt_grad(
     problem: ControlProblem, model, theta, loss: LossSpec = LossSpec()
 ) -> GradResult:
     """Full-horizon gradient of J(theta) by the discrete adjoint: one batched
-    pullback of the K control cotangents, counted as K vjps."""
+    pullback of the K control cotangents, counted as K vjps.
+
+    A (..., P) theta is a population of runs: grad is (..., P), loss and the
+    trajectory carry the same run axes, and each run counts K vjps. The
+    adjoint scan keeps a time-major column buffer and forms A^T lambda as the
+    stacked matvec, so each run's gradient equals its own call's bit for bit
+    (see euler_states).
+    """
     theta = np.asarray(theta, dtype=np.float64)
     traj = rollout(problem, model, theta)
     dyn = problem.dynamics
@@ -102,24 +113,31 @@ def bptt_grad(
     xs, us, ts = traj.states, traj.controls, traj.times
     k_steps = problem.steps
     mu = loss.mu
+    runs = us.shape[:-2]
 
-    lam = xs[k_steps] - problem.x_star
-    lams = np.empty((k_steps, lam.shape[0]))  # lams[k] = lambda_{k+1}
-    for k in reversed(range(k_steps)):
-        lams[k] = lam
-        if k > 0:
-            lam = lam + dt * (a_t @ lam)
-            if loss.integrated == "work":
-                # d(v u)/dx = (0, u)
-                lam = lam + mu * dt * np.array([0.0, us[k][0]])
-    g_us = dt * (lams @ dyn.B)
+    lams = np.empty((k_steps,) + runs + (dyn.n, 1))  # lams[k] = lambda_{k+1}
+    lams[-1] = (xs[..., k_steps, :] - problem.x_star)[..., None]
+    step = np.empty(runs + (dyn.n, 1))
+    work = repeat(None)
+    if loss.integrated == "work":
+        # d(v u)/dx = (0, u_k), one column per step k = K-1 down to 1
+        u = us[..., 0]
+        work = (mu * dt * time_major(np.stack([np.zeros_like(u), u], axis=-1)))[:0:-1, ..., None]
+    # lambda_k = lambda_{k+1} + dt A^T lambda_{k+1} (+ work), for k = K-1 down to 1
+    for lam, lam_prev, w in zip(lams[:0:-1], lams[-2::-1], work):
+        np.matmul(a_t, lam, step)
+        step *= dt
+        np.add(lam, step, lam_prev)
+        if w is not None:
+            lam_prev += w
+    g_us = dt * np.matmul(run_major(lams[..., 0]), dyn.B)
     if loss.integrated == "energy":
         g_us += mu * dt * us
     elif loss.integrated == "work":
         # d(v u)/du = v
-        g_us += mu * dt * xs[:-1, 1:2]
+        g_us += mu * dt * xs[..., :-1, 1:2]
     grad = model.vjp(theta, ts[:-1], g_us)
-    _count_vjp(k_steps)
+    _count_vjp(k_steps * math.prod(runs))
     return GradResult(grad, loss.value(traj, problem.x_star), traj)
 
 
@@ -143,6 +161,8 @@ def tbptt_grad(
     if not 0 <= k_index < k_steps:
         raise ValueError(f"k_index must be in [0, {k_steps}), got {k_index}")
     theta = np.asarray(theta, dtype=np.float64)
+    if theta.ndim != 1:
+        raise ValueError(f"tbptt_grad takes one run's theta, got shape {theta.shape}")
     traj = rollout(problem, model, theta)
     dyn = problem.dynamics
     dt = problem.dt
@@ -150,8 +170,11 @@ def tbptt_grad(
     lam = traj.states[k_steps] - problem.x_star
     if variant == "propagated":
         a_t = dyn.A.T
+        step = np.empty_like(lam)
         for _ in range(k_index + 1, k_steps):
-            lam = lam + dt * (a_t @ lam)
+            np.matmul(a_t, lam, step)
+            step *= dt
+            lam += step
     g_u = dt * (dyn.B.T @ lam)
     grad = model.vjp(theta, traj.times[k_index], g_u)
     _count_vjp()

@@ -9,7 +9,6 @@ NaN rather than aborting the grid.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +25,7 @@ from .dynamics import (
 )
 from .experiments import Axis
 from .linalg import SeededRng
+from .pool import cell_pool, thread_record
 
 # the default grid of every projection axis; a 2-D projection's beta axis
 # takes the same range and count
@@ -140,6 +140,7 @@ class ProjectionResult:
     mse_u: np.ndarray
     energy: np.ndarray
     samples: int
+    blas_threads: dict  # see pool.thread_record
 
     def center_index(self) -> tuple[int, int]:
         ia = int(np.argmin(np.abs(self.spec.alphas())))
@@ -168,6 +169,7 @@ class ProjectionResult:
             "alpha": s.alpha.manifest(),
             "beta": None if s.beta is None else s.beta.manifest(),
             "samples": self.samples,
+            "blas_threads": self.blas_threads,
         }
 
 
@@ -183,14 +185,15 @@ def project(
 
     u_star is a callable t -> optimal control, used for the MSE surface with
     `samples` grid points. It is sampled once up front (so closures are fine
-    with worker pools); rows of fixed alpha then run independently.
+    with worker pools); rows of fixed alpha then run independently, in a
+    process pool for workers > 1 (see pool.cell_pool).
     """
     alphas = spec.alphas()
     ts = mse_times(samples, problem.T)
     us = sample_control(u_star, ts, "u_star")
     tasks = [(spec, problem, model, ts, us, float(a)) for a in alphas]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with cell_pool(workers) as pool:
             rows = list(pool.map(_project_row, tasks, chunksize=1))
     else:
         rows = [_project_row(t) for t in tasks]
@@ -201,6 +204,7 @@ def project(
         mse_u=grid[:, :, 1],
         energy=grid[:, :, 2],
         samples=samples,
+        blas_threads=thread_record(workers),
     )
 
 

@@ -47,6 +47,16 @@ def as_vector(a, name: str = "vector") -> np.ndarray:
     return v
 
 
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[r] @ b[r] over the last axis, for every leading index r.
+
+    numpy's matmul runs one BLAS dot per (1, n) @ (n, 1) pair, the same call
+    as the 1-D `a @ b`, so each entry equals the single product bit for bit.
+    1-D inputs give a 0-d result.
+    """
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
 def check_count(name: str, n: int) -> None:
     """Raise a ValueError naming n unless it is at least 1."""
     if n < 1:

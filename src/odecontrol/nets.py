@@ -222,7 +222,8 @@ class MlpSpec:
         theta = np.asarray(theta, dtype=np.float64)
         if theta.shape != (self._n_params,):
             raise DimensionError(
-                f"theta must have shape ({self._n_params},), got {theta.shape}"
+                f"theta must have shape ({self._n_params},), got {theta.shape}; an MLP "
+                f"takes one run's theta"
             )
         return theta
 
@@ -272,12 +273,14 @@ class MlpSpec:
         return grad
 
 
-def _cotangents(t, ybar, out_dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """(ts, ybar) as (K,) and (K, out_dim) arrays; a scalar t is K = 1."""
+def _cotangents(t, ybar, out_dim: int, runs: tuple = ()) -> tuple[np.ndarray, np.ndarray]:
+    """(ts, ybar) as (K,) and (*runs, K, out_dim) arrays; a scalar t is K = 1.
+    runs is theta's leading (run) shape."""
     ts, ybar = np.asarray(t, dtype=np.float64), np.asarray(ybar, dtype=np.float64)
-    if ts.ndim > 1 or ybar.shape != ts.shape + (out_dim,):
-        raise DimensionError(f"ybar must have shape {ts.shape + (out_dim,)}, got {ybar.shape}")
-    return ts.reshape(-1), ybar.reshape(-1, out_dim)
+    want = tuple(runs) + ts.shape + (out_dim,)
+    if ts.ndim > 1 or ybar.shape != want:
+        raise DimensionError(f"ybar must have shape {want}, got {ybar.shape}")
+    return ts.reshape(-1), ybar.reshape(tuple(runs) + (ts.size, out_dim))
 
 
 @dataclass(frozen=True)
@@ -286,7 +289,9 @@ class SingleNeuron:
 
     The bias sits outside the nonlinearity, which is what makes the relu
     variant's fixed-point structure interesting: for w < 0 the weight
-    gradient vanishes on t > 0 and only b moves.
+    gradient vanishes on t > 0 and only b moves. forward_batch and vjp take
+    a (..., 2) theta, one row per run, and give each run the values of its
+    own call.
     """
 
     activation: Activation = LINEAR
@@ -304,20 +309,26 @@ class SingleNeuron:
         return self.forward_batch(theta, [t])[0]
 
     def forward_batch(self, theta, ts: np.ndarray) -> np.ndarray:
-        w, b = float(theta[0]), float(theta[1])
+        """Controls (..., len(ts), 1) at a 1-D array of times."""
+        theta = np.asarray(theta, dtype=np.float64)
         ts = np.asarray(ts, dtype=np.float64)
-        return (self.activation.value(w * ts) + b)[:, None]
+        return (self.activation.value(theta[..., :1] * ts) + theta[..., 1:])[..., None]
 
     def vjp(self, theta, t, ybar) -> np.ndarray:
-        """Pullback of ybar; a (K,) t with (K, 1) ybar sums the K pullbacks."""
-        ts, g = _cotangents(t, ybar, 1)
-        d = self.activation.deriv(float(theta[0]) * ts)
-        return np.array([np.sum(g[:, 0] * d * ts), np.sum(g)])
+        """Pullback of ybar; a (K,) t with (..., K, 1) ybar sums the K pullbacks."""
+        theta = np.asarray(theta, dtype=np.float64)
+        ts, g = _cotangents(t, ybar, 1, theta.shape[:-1])
+        g = g[..., 0]
+        d = self.activation.deriv(theta[..., :1] * ts)
+        return np.stack([np.sum(g * d * ts, axis=-1), np.sum(g, axis=-1)], axis=-1)
 
 
 @dataclass(frozen=True)
 class ConstantControl:
-    """Bias-only controller u(t) = c, theta = c (one entry per control dim)."""
+    """Bias-only controller u(t) = c, theta = c (one entry per control dim).
+
+    forward_batch and vjp take a (..., out_dim) theta, one row per run.
+    """
 
     out_dim: int = 1
 
@@ -332,12 +343,13 @@ class ConstantControl:
         return np.asarray(theta, dtype=np.float64).copy()
 
     def forward_batch(self, theta, ts: np.ndarray) -> np.ndarray:
+        """Controls (..., len(ts), out_dim) at a 1-D array of times."""
         theta = np.asarray(theta, dtype=np.float64)
-        return np.tile(theta, (len(ts), 1))
+        return np.repeat(theta[..., None, :], len(ts), axis=-2)
 
     def vjp(self, theta, t, ybar) -> np.ndarray:
-        """Pullback of ybar; a (K,) t with (K, out_dim) ybar sums the K rows."""
-        return _cotangents(t, ybar, self.out_dim)[1].sum(axis=0)
+        """Pullback of ybar; a (K,) t with (..., K, out_dim) ybar sums the K rows."""
+        return _cotangents(t, ybar, self.out_dim, np.shape(theta)[:-1])[1].sum(axis=-2)
 
 
 def init_params(model, scheme: InitScheme, rng: SeededRng | None = None) -> np.ndarray:

@@ -4,7 +4,9 @@ One epoch = one gradient evaluation (full BPTT or a single truncated index)
 followed by one optimizer step. The loop records per-epoch diagnostics and
 keeps the parameters with the lowest recorded loss, never just the final
 iterate. With a fixed seed every run is bit-reproducible: the only random
-draw is the truncation index of the random TBPTT schedule.
+draw is the truncation index of the random TBPTT schedule. train_runs runs
+the loop over a population of runs, each bit-equal to its own train call;
+train is the one-run case.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import ControlProblem, DivergenceError, Trajectory, control_energy
-from .gradients import GradResult, LossSpec, bptt_grad, tbptt_grad
-from .linalg import SeededRng, check_count
+from .gradients import LossSpec, bptt_grad, tbptt_grad
+from .linalg import DimensionError, SeededRng, check_count, row_dot
 
 
 def check_eta(eta: float) -> None:
@@ -64,8 +66,8 @@ class AdamState:
     t: int = 0
 
     @staticmethod
-    def zeros(n: int) -> "AdamState":
-        return AdamState(np.zeros(n), np.zeros(n), 0)
+    def zeros(shape) -> "AdamState":
+        return AdamState(np.zeros(shape), np.zeros(shape), 0)
 
 
 def adam_step(
@@ -127,17 +129,6 @@ class TrainHistory:
     delta_u_pred: list = field(default_factory=list)
     e_dot_l: list = field(default_factory=list)
     cos_angle: list = field(default_factory=list)
-
-    def append(self, epoch, loss, energy, grad_norm, ddu=math.nan, ddu_pred=math.nan,
-               e_dot_l=math.nan, cos_angle=math.nan):
-        self.epochs.append(int(epoch))
-        self.loss.append(float(loss))
-        self.energy.append(float(energy))
-        self.grad_norm.append(float(grad_norm))
-        self.delta_u_direct.append(float(ddu))
-        self.delta_u_pred.append(float(ddu_pred))
-        self.e_dot_l.append(float(e_dot_l))
-        self.cos_angle.append(float(cos_angle))
 
     def __len__(self) -> int:
         return len(self.epochs)
@@ -230,6 +221,38 @@ def train(
     where the step is not -eta * grad. Truncated gradients cover the
     terminal loss only, so tbptt with an integrated cost is rejected.
     """
+    theta0 = np.asarray(theta0, dtype=np.float64)
+    if theta0.ndim != 1:
+        raise DimensionError(f"theta0 must be 1-D, got shape {theta0.shape}; "
+                             f"train_runs trains a population")
+    return train_runs(problem, model, theta0[None], optimizer, epochs, protocol, loss,
+                      seed, record_delta_u, record_energy_identity)[0]
+
+
+def train_runs(
+    problem: ControlProblem,
+    model,
+    thetas,
+    optimizer,
+    epochs: int,
+    protocol: Protocol = Protocol(),
+    loss: LossSpec = LossSpec(),
+    seed: int = 0,
+    record_delta_u: bool = False,
+    record_energy_identity: bool = False,
+) -> list[TrainResult]:
+    """Train one run per row of an (R, P) thetas as one array program.
+
+    Result r equals train(problem, model, thetas[r], ...) bit for bit: each
+    run keeps its own history, best theta and best trajectory, and a run
+    whose gradient pass diverges freezes with the diverged_at and
+    diverged_step it would get alone while the others go on. The gradient
+    layers see one run without a run axis and several with one; every
+    per-run product and reduction there is one BLAS call per run with the
+    arguments of the single call. More than one run needs bptt, no
+    recorder, and a controller whose forward_batch and vjp take a leading
+    run axis (SingleNeuron, ConstantControl).
+    """
     check_count("epochs", epochs)
     if protocol.kind == "tbptt" and loss.integrated is not None:
         raise ValueError(
@@ -238,80 +261,112 @@ def train(
         )
     if not isinstance(optimizer, (Sd, Adam)):
         raise ValueError(f"unknown optimizer {optimizer!r}")
-    theta = np.asarray(theta0, dtype=np.float64).copy()
-    rng = SeededRng(seed)
-    history = TrainHistory()
-    adam_state = AdamState.zeros(theta.shape[0]) if isinstance(optimizer, Adam) else None
-
+    if not isinstance(loss, LossSpec):
+        raise ValueError(f"loss must be one LossSpec, got {loss!r}")
+    thetas = np.array(thetas, dtype=np.float64)
+    if thetas.ndim != 2:
+        raise DimensionError(f"thetas must have shape (runs, P), got {thetas.shape}")
+    runs = thetas.shape[0]
+    if runs > 1 and (protocol.kind == "tbptt" or record_delta_u or record_energy_identity):
+        raise ValueError("a population of runs trains with bptt and no recorder; "
+                         "train tbptt and recorded runs one at a time")
     coeffs = _scalar_linear_coeffs(problem)
     if record_delta_u and coeffs is None:
         raise ValueError("delta-u recorder needs a scalar linear-flow problem")
+    rng = SeededRng(seed)
+    dyn = problem.dynamics
+    k_steps = problem.steps
 
-    theta_best = theta.copy()
-    traj_best = None
-    loss_best = math.inf
-    best_epoch = -1
-    diverged = False
-    diverged_at = diverged_step = None
+    # rows of the arrays below are the live runs, whose ids are `live`; a run
+    # leaves them when it diverges and its row is copied into `final`, the
+    # run-indexed record of best loss, best epoch, theta_best, the best
+    # trajectory's states and controls, and theta_final
+    live = np.arange(runs)
+    theta = thetas
+    adam_state = AdamState.zeros(theta.shape) if isinstance(optimizer, Adam) else None
+    best = [np.full(runs, math.inf), np.full(runs, -1), thetas.copy(),
+            np.empty((runs, k_steps + 1, dyn.n)), np.empty((runs, k_steps, dyn.m))]
+    final = [a.copy() for a in best] + [thetas.copy()]
+    columns = np.full((epochs, runs, len(_HISTORY_COLUMNS) - 1), math.nan)
+    diverged_at = np.full(runs, -1)
+    diverged_step = np.full(runs, -1)
 
     for epoch in range(epochs):
         if protocol.kind == "tbptt" and protocol.schedule == "random":
             k_index = rng.integers(0, problem.steps)
         else:
             k_index = epoch % problem.steps
-        try:
-            # overflow on a diverging iterate is routine; the integrator
-            # raises DivergenceError on non-finite states
-            with np.errstate(over="ignore", invalid="ignore"):
-                if protocol.kind == "bptt":
-                    res: GradResult = bptt_grad(problem, model, theta, loss)
-                else:
-                    res = tbptt_grad(problem, model, theta, k_index, protocol.variant)
-        except DivergenceError as err:
-            diverged = True
-            diverged_at = epoch
-            diverged_step = err.step
-            # the offending iterate is not recorded; history holds epochs 0..n-1
+        res = None
+        while res is None and live.size:
+            # a single live run goes through the gradient layers without a run axis
+            th = theta[0] if live.size == 1 else theta
+            try:
+                # overflow on a diverging iterate is routine; the integrator
+                # raises DivergenceError on non-finite states
+                with np.errstate(over="ignore", invalid="ignore"):
+                    if protocol.kind == "bptt":
+                        res = bptt_grad(problem, model, th, loss)
+                    else:
+                        res = tbptt_grad(problem, model, th, k_index, protocol.variant)
+            except DivergenceError as err:
+                # the diverged runs stop at this iterate, which is not recorded
+                # (their history holds epochs 0..n-1); the others go again
+                steps = err.steps.reshape(-1)
+                bad = steps >= 0
+                diverged_at[live[bad]] = epoch
+                diverged_step[live[bad]] = steps[bad]
+                for done, row in zip(final, best + [theta]):
+                    done[live[bad]] = row[bad]
+                live, theta = live[~bad], theta[~bad]
+                best = [row[~bad] for row in best]
+                if adam_state is not None:
+                    adam_state = AdamState(adam_state.m[~bad], adam_state.v[~bad], adam_state.t)
+        if res is None:
             break
 
-        grad = res.grad
-        loss_n = res.loss
-        with np.errstate(over="ignore", invalid="ignore"):
-            energy_n = control_energy(res.trajectory)
-            gnorm = float(np.sqrt(grad @ grad))
-
-        if loss_n < loss_best or epoch == 0:
-            # until the loss first improves, theta_best is epoch 0's theta0
-            traj_best = res.trajectory
-        if loss_n < loss_best:
-            loss_best = loss_n
-            theta_best = theta.copy()
-            best_epoch = epoch
-
-        e_dot_l = math.nan
-        cos_angle = math.nan
-        if record_energy_identity:
-            e_grad = _energy_grad(problem, model, theta, res.trajectory)
-            e_dot_l = float(e_grad @ grad)
-            denom = float(np.sqrt(e_grad @ e_grad)) * gnorm
-            cos_angle = e_dot_l / denom if denom > 0.0 else math.nan
+        grad = res.grad.reshape(theta.shape)
+        traj = res.trajectory
+        loss_n = res.loss  # a float for a single run, else one value per run
+        loss_best, best_epoch, theta_best, best_states, best_controls = best
+        states = traj.states.reshape(best_states.shape)
+        controls = traj.controls.reshape(best_controls.shape)
+        if epoch == 0:
+            # until the loss first improves, the best trajectory is epoch 0's
+            best_states[...], best_controls[...] = states, controls
+        improved = loss_n < loss_best
+        np.copyto(loss_best, loss_n, where=improved)
+        np.copyto(best_epoch, epoch, where=improved)
+        np.copyto(theta_best, theta, where=improved[:, None])
+        np.copyto(best_states, states, where=improved[:, None, None])
+        np.copyto(best_controls, controls, where=improved[:, None, None])
 
         # same guard as the gradient pass: the step itself can overflow on an
         # iterate that is about to be flagged by the integrator
         with np.errstate(over="ignore", invalid="ignore"):
+            energy_n = control_energy(traj)
+            gnorm = np.sqrt(row_dot(grad, grad))
             if isinstance(optimizer, Sd):
                 theta_next = sd_step(theta, grad, optimizer.eta)
             else:
                 adam_state, theta_next = adam_step(adam_state, theta, grad, optimizer)
 
+        e_dot_l = math.nan
+        cos_angle = math.nan
+        if record_energy_identity:
+            e_grad = _energy_grad(problem, model, theta[0], traj)
+            e_dot_l = float(e_grad @ grad[0])
+            denom = float(np.sqrt(e_grad @ e_grad)) * float(gnorm[0])
+            cos_angle = e_dot_l / denom if denom > 0.0 else math.nan
+
         ddu = math.nan
         ddu_pred = math.nan
         if record_delta_u:
             a, b = coeffs
-            ddu = delta_u_weighted(model, theta, theta_next, a, problem.T, problem.steps)
+            ddu = delta_u_weighted(model, theta[0], theta_next[0], a, problem.T,
+                                   problem.steps)
             if isinstance(optimizer, Sd):
-                dtheta = theta_next - theta
-                dl_dxt = float(res.trajectory.final_state()[0] - problem.x_star[0])
+                dtheta = theta_next[0] - theta[0]
+                dl_dxt = float(traj.final_state()[0] - problem.x_star[0])
                 if dl_dxt != 0.0:
                     ddu_pred = (
                         -(1.0 / optimizer.eta)
@@ -321,20 +376,36 @@ def train(
                         / dl_dxt
                     )
 
-        history.append(epoch, loss_n, energy_n, gnorm, ddu, ddu_pred, e_dot_l, cos_angle)
+        row = columns[epoch]
+        # a slice while every run is live
+        rows = slice(None) if live.size == runs else live
+        row[rows, 0], row[rows, 1], row[rows, 2] = loss_n, energy_n, gnorm
+        if record_delta_u or record_energy_identity:
+            row[0, 3:] = ddu, ddu_pred, e_dot_l, cos_angle
         theta = theta_next
+    for done, row in zip(final, best + [theta]):
+        done[live] = row
 
-    return TrainResult(
-        history=history,
-        theta_best=theta_best,
-        loss_best=loss_best,
-        best_epoch=best_epoch,
-        theta_final=theta,
-        trajectory_best=traj_best,
-        diverged=diverged,
-        diverged_at=diverged_at,
-        diverged_step=diverged_step,
-    )
+    loss_best, best_epoch, theta_best, best_states, best_controls, theta_final = final
+    times = problem.times()
+    out = []
+    for r in range(runs):
+        diverged = bool(diverged_at[r] >= 0)
+        recorded = int(diverged_at[r]) if diverged else epochs
+        out.append(TrainResult(
+            history=TrainHistory(list(range(recorded)),
+                                 *columns[:recorded, r].T.tolist()),
+            theta_best=theta_best[r],
+            loss_best=float(loss_best[r]),
+            best_epoch=int(best_epoch[r]),
+            theta_final=theta_final[r],
+            trajectory_best=None if diverged_at[r] == 0 else
+            Trajectory(times, best_states[r], best_controls[r], dynamics=dyn),
+            diverged=diverged,
+            diverged_at=int(diverged_at[r]) if diverged else None,
+            diverged_step=int(diverged_step[r]) if diverged else None,
+        ))
+    return out
 
 
 def energy_identity_residual(history: TrainHistory, eta: float, n: int) -> float:

@@ -10,8 +10,13 @@ depth, widths, output size, K); the numbers come from a numpy generator
 seeded by hypothesis, so shrinking never walks theta onto a relu kink.
 The Euler scan is checked against a per-step scan that tests finiteness
 after every step: the divergence step must match, and the states bit for
-bit with one control input (at 1e-12 with more). Runs are derandomized, so
-a pass or a failure repeats exactly.
+bit with one control input (at 1e-12 with more).
+
+The population path (train_runs, a leading run axis through the nets, the
+scan and bptt_grad) must equal one train call per row bit for bit. It rests
+on one invariant of numpy's stacked matvec, checked here by name: row r of
+np.matmul(A, X[..., None]) is A @ X[r]. Runs are derandomized, so a pass or
+a failure repeats exactly.
 """
 
 import numpy as np
@@ -26,6 +31,7 @@ from odecontrol.dynamics import (
     MovingParticleDynamics,
     integrate_euler,
     rollout,
+    run_major,
 )
 from odecontrol.experiments import (
     constant_problem,
@@ -33,8 +39,8 @@ from odecontrol.experiments import (
     particle_problem,
     time_dependent_problem,
 )
-from odecontrol.gradients import LossSpec, bptt_grad, tbptt_grad
-from odecontrol.linalg import DimensionError
+from odecontrol.gradients import LossSpec, bptt_grad, reset_vjp_count, tbptt_grad, vjp_count
+from odecontrol.linalg import DimensionError, row_dot
 from odecontrol.nets import (
     LINEAR,
     RELU,
@@ -45,6 +51,7 @@ from odecontrol.nets import (
     elu,
     leaky_relu,
 )
+from odecontrol.training import Adam, Protocol, Sd, train, train_runs
 
 RTOL = 1e-12
 ACTIVATIONS = [LINEAR, RELU, TANH, leaky_relu(0.1), elu()]
@@ -343,3 +350,162 @@ class TestBatchedGradients:
                 "work": LossSpec.work(mu)}[kind]
         assert_close(bptt_grad(problem, model, theta, loss).grad,
                      ref_bptt(problem, model, theta, loss))
+
+
+# -- the population axis ------------------------------------------------------
+
+
+class TestStackedMatvecInvariant:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(1, 3), st.integers(1, 64), scales, scales, seeds, st.booleans())
+    def test_stacked_matvec_rows_are_single_matvecs(self, n, runs, a_scale, x_scale, seed,
+                                                    poison):
+        rng = np.random.default_rng(seed)
+        a = a_scale * rng.normal(size=(n, n))
+        x = x_scale * rng.normal(size=(runs, n))
+        if poison:  # one inf or NaN entry in A or in some row
+            target = a if rng.random() < 0.5 else x
+            target.flat[rng.integers(target.size)] = rng.choice([np.inf, -np.inf, np.nan])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for mat in (a, a.T):  # the scan multiplies by A, the adjoint by A^T
+                stacked = np.matmul(mat, x[..., None])[..., 0]
+                for r in range(runs):
+                    assert np.array_equal(stacked[r], mat @ x[r], equal_nan=True)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 40), st.integers(1, 64),
+           scales, seeds)
+    def test_time_major_products_are_single_products(self, n, m, k, runs, scale, seed):
+        # the adjoint's cotangents: run r's (K, n) rows, read from the
+        # (K, runs, n) buffer, times B, against the single run's lams @ B
+        rng = np.random.default_rng(seed)
+        lams, b = scale * rng.normal(size=(k, runs, n)), rng.normal(size=(n, m))
+        with np.errstate(over="ignore", invalid="ignore"):
+            stacked = np.matmul(run_major(lams), b)
+            for r in range(runs):
+                assert np.array_equal(stacked[r], lams[:, r].copy() @ b, equal_nan=True)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(1, 40), st.integers(1, 64), st.integers(1, 3), scales, seeds)
+    def test_row_dot_rows_are_single_dots(self, size, runs, stride, scale, seed):
+        # d @ d of the loss, grad @ grad of the history and the strided v @ u
+        # of the work functional, one BLAS dot per run
+        rng = np.random.default_rng(seed)
+        a, b = scale * rng.normal(size=(2, runs, size, stride))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = row_dot(a[..., 0], b[..., -1])
+            for r in range(runs):
+                assert np.array_equal(got[r], a[r, :, 0] @ b[r, :, -1], equal_nan=True)
+
+
+SMALL_MODELS = [SingleNeuron(act) for act in ACTIVATIONS] + [ConstantControl()]
+
+
+def assert_same_result(got, want):
+    """Every field of two TrainResults equal: arrays bit for bit, NaN where NaN."""
+    for name in ("epochs", "loss", "energy", "grad_norm", "delta_u_direct",
+                 "delta_u_pred", "e_dot_l", "cos_angle"):
+        assert np.array_equal(getattr(got.history, name), getattr(want.history, name),
+                              equal_nan=True), name
+    for name in ("theta_best", "theta_final"):
+        assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True), name
+    for name in ("loss_best", "best_epoch", "diverged", "diverged_at", "diverged_step"):
+        assert getattr(got, name) == getattr(want, name), name
+    if want.trajectory_best is None:
+        assert got.trajectory_best is None
+    else:
+        for name in ("times", "states", "controls"):
+            assert np.array_equal(getattr(got.trajectory_best, name),
+                                  getattr(want.trajectory_best, name)), name
+
+
+def check_population(problem, model, thetas, optimizer, epochs, loss=LossSpec()):
+    """train_runs against one train call per row, vjp counts included."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        reset_vjp_count()
+        got = train_runs(problem, model, thetas, optimizer, epochs, loss=loss)
+        vjps = vjp_count()
+        want, want_vjps = [], 0
+        for theta in thetas:
+            reset_vjp_count()
+            want.append(train(problem, model, theta, optimizer, epochs, loss=loss))
+            want_vjps += vjp_count()
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert_same_result(g, w)
+    assert vjps == want_vjps
+    return want
+
+
+# under Sd(1e6) rows from 1e100 up overflow within 30 epochs, each at an epoch set
+# by its scale, while rows near 1 go on
+theta_scales = st.sampled_from([1e-3, 1.0, 1e3, 1e100, 1e150, 1e200, 1e250, 1e300])
+
+
+@st.composite
+def populations(draw):
+    """A shipped problem, a small controller, up to six theta rows of mixed
+    scale (the large ones overflow at different epochs) and an optimizer."""
+    problem = PROBLEMS[draw(st.sampled_from(sorted(PROBLEMS)))](draw(st.integers(2, 30)))
+    model = draw(st.sampled_from(SMALL_MODELS))
+    runs = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(seeds))
+    row_scales = [draw(theta_scales) for _ in range(runs)]
+    thetas = np.array(row_scales)[:, None] * rng.normal(size=(runs, model.n_params))
+    optimizer = draw(st.sampled_from([Adam(0.1), Sd(0.1), Sd(1e6), Sd(1e6)]))
+    return problem, model, thetas, optimizer
+
+
+class TestPopulationTraining:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(populations())
+    def test_each_run_equals_its_own_train(self, case):
+        check_population(*case, epochs=30)
+
+    @pytest.mark.parametrize("name", sorted(PROBLEMS))
+    @pytest.mark.parametrize("model", SMALL_MODELS, ids=lambda m: getattr(
+        getattr(m, "activation", None), "kind", "constant"))
+    def test_runs_diverge_alone(self, name, model):
+        thetas = np.array([[1.0, 0.5], [1e100, 1.0], [1e200, -1e150], [0.3, 0.2],
+                           [1e250, 1e250]])[:, :model.n_params]
+        want = check_population(PROBLEMS[name](20), model, thetas, Sd(60.0), 60)
+        stops = {w.diverged_at for w in want if w.diverged}
+        assert len(stops) >= 1 and any(not w.diverged for w in want)
+
+    def test_divergence_epochs_differ(self):
+        thetas = np.array([[1.0, 0.5], [1e100, 1.0], [1e200, -1e150], [1e250, 1e250]])
+        want = check_population(flow2d_problem(25), SingleNeuron(RELU), thetas, Sd(60.0), 60)
+        assert [w.diverged_at for w in want] == [None, None, 48, 26]
+
+    @pytest.mark.parametrize("loss", [LossSpec.energy(0.5), LossSpec.work(0.2)])
+    def test_integrated_costs(self, loss):
+        rng = np.random.default_rng(5)
+        check_population(particle_problem(25), SingleNeuron(elu()), rng.normal(size=(4, 2)),
+                         Adam(0.05), 20, loss=loss)
+
+    def test_more_than_one_run_rejects_what_it_does_not_batch(self):
+        problem, thetas = constant_problem(10), np.zeros((2, 2))
+        model = SingleNeuron(RELU)
+        with pytest.raises(ValueError, match="bptt and no recorder"):
+            train_runs(problem, model, thetas, Sd(0.1), 3, protocol=Protocol("tbptt"))
+        with pytest.raises(ValueError, match="bptt and no recorder"):
+            train_runs(problem, model, thetas, Sd(0.1), 3, record_delta_u=True)
+        with pytest.raises(ValueError, match="bptt and no recorder"):
+            train_runs(problem, model, thetas, Sd(0.1), 3, record_energy_identity=True)
+        with pytest.raises(ValueError, match="one run's theta"):
+            mlp = MlpSpec((3,))
+            train_runs(problem, mlp, np.zeros((2, mlp.n_params)), Sd(0.1), 3)
+        with pytest.raises(ValueError, match="unknown optimizer"):
+            train_runs(problem, model, thetas, [Sd(0.1), Sd(0.2)], 3)
+        with pytest.raises(ValueError, match="one LossSpec"):
+            train_runs(problem, model, thetas, Sd(0.1), 3, loss=[LossSpec(), LossSpec()])
+        with pytest.raises(ValueError, match="tbptt_grad takes one run"):
+            tbptt_grad(problem, model, thetas, 0)
+
+    def test_one_run_may_use_tbptt_and_recorders(self):
+        problem = constant_problem(10)
+        got = train_runs(problem, SingleNeuron(), np.array([[0.3, 0.2]]), Sd(0.1), 5,
+                         protocol=Protocol("tbptt"), record_delta_u=True)
+        want = train(problem, SingleNeuron(), np.array([0.3, 0.2]), Sd(0.1), 5,
+                     protocol=Protocol("tbptt"), record_delta_u=True)
+        assert_same_result(got[0], want)

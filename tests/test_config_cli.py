@@ -649,3 +649,24 @@ class TestExperimentCommands:
             main(["train", "--config", cfg, "--workers", "2"])
         assert err.value.code == 2
         assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+    def test_phase_takes_no_seed(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "phase.json", PHASE_DOC)
+        outdir = tmp_path / "phase_out"
+        with pytest.raises(SystemExit) as err:
+            main(["phase", "--config", cfg, "--out", str(outdir), "--seed", "5"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    def test_project_around_theta_file_takes_no_seed(self, tmp_path, capsys):
+        model = MlpSpec((3,))
+        (tmp_path / "theta.json").write_text(theta_to_json(model, np.zeros(model.n_params)))
+        doc = {k: v for k, v in PROJECT_DOC.items() if k != "training"}
+        doc = edited(doc, network={"hidden": [3]},
+                     projection__theta_file=str(tmp_path / "theta.json"))
+        cfg = write_json(tmp_path / "proj.json", doc)
+        outdir = tmp_path / "proj_out"
+        assert main(["project", "--config", cfg, "--out", str(outdir), "--seed", "5"]) == 2
+        assert "config error: --seed: projection.theta_file" in capsys.readouterr().err
+        assert not outdir.exists()

@@ -6,6 +6,9 @@ pool/serial equality, and CSV/manifest round trips."""
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ import pytest
 from odecontrol.experiments import (
     Axis,
     GridSpec,
+    PHASE_GRID,
     SweepConfig,
     architecture_scan,
     cell_seed,
@@ -29,7 +33,11 @@ from odecontrol.experiments import (
     sweep_preset,
     time_dependent_problem,
 )
-from odecontrol.nets import InitScheme
+import odecontrol
+from odecontrol.dynamics import ControlProblem, integrator
+from odecontrol.nets import RELU, InitScheme, SingleNeuron
+from odecontrol.pool import blas_threads
+from odecontrol.training import Adam, train
 
 
 class TestProblemFactories:
@@ -166,6 +174,24 @@ class TestPhaseDiagram:
             phase_diagram("linear", grid=self.GRID, method=method, **setting)
 
 
+class TestPhaseTrainAdamGrid:
+    def test_full_grid_cells_equal_single_runs(self):
+        # the 41x41 figure grid trains as one population; seeded cells on both
+        # sides of w0 = 0 must equal a train call of their own, bit for bit
+        res = phase_diagram("relu", PHASE_GRID, method="train_adam")
+        assert res.mse.shape == (41, 41) and np.all(np.isfinite(res.mse))
+        rng = np.random.default_rng(11)
+        cells = [(int(rng.integers(0, 21)), int(rng.integers(0, 41))) for _ in range(3)]
+        cells += [(int(rng.integers(21, 41)), int(rng.integers(0, 41))) for _ in range(2)]
+        problem = ControlProblem(integrator(), [0.0], [-1.0], 1.0, 100)
+        ws, bs = PHASE_GRID.x.values(), PHASE_GRID.y.values()
+        assert any(ws[i] <= 0.0 for i, _ in cells) and any(ws[i] > 0.0 for i, _ in cells)
+        for i, j in cells:
+            alone = train(problem, SingleNeuron(RELU), np.array([ws[i], bs[j]]), Adam(0.1), 300)
+            w, b = (float(v) for v in alone.theta_final)
+            assert res.mse[i, j] == 0.5 * (max(w, 0.0) ** 2 + (b + 1.0) ** 2)
+
+
 class TestPhaseSpotCheck:
     def test_sd_matches_analytic_map(self):
         # Steepest descent through the simulator follows the analytic map up
@@ -228,6 +254,36 @@ class TestDepthWidthSweep:
         serial = depth_width_sweep(cfg, workers=1)
         pooled = depth_width_sweep(cfg, workers=2)
         assert serial.cells == pooled.cells
+
+    def test_pool_matches_pinned_serial_subprocess(self):
+        # the 2 x 440 cell multiplies 220-wide layers, where OpenBLAS threads
+        # its gemm and the result depends on the thread count; pool workers run
+        # one BLAS thread, like this serial run in a pinned subprocess
+        cfg = sweep_preset("constant", layers=(1, 2), max_neurons=(440,), epochs=10,
+                           base_seed=3)
+        pooled = depth_width_sweep(cfg, workers=2)
+        script = ("import sys\n"
+                  "from odecontrol.experiments import depth_width_sweep, sweep_preset\n"
+                  "cfg = sweep_preset('constant', layers=(1, 2), max_neurons=(440,), "
+                  "epochs=10, base_seed=3)\n"
+                  "sys.stdout.write(depth_width_sweep(cfg).to_csv())\n")
+        src = os.path.dirname(os.path.dirname(odecontrol.__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        serial = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                capture_output=True, text=True, timeout=300).stdout
+        assert pooled.to_csv() == serial
+        assert pooled.blas_threads == {"parent": blas_threads(), "workers": 1}
+        assert pooled.manifest()["blas_threads"] == pooled.blas_threads
+
+    def test_pool_restores_the_thread_variables(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        res = depth_width_sweep(tiny_sweep(), workers=2)
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
+        assert "OMP_NUM_THREADS" not in os.environ
+        assert res.blas_threads == {"parent": 3, "workers": 1}
+        assert depth_width_sweep(tiny_sweep()).blas_threads == {"parent": 3, "workers": None}
 
     def test_csv_round_trip(self):
         res = depth_width_sweep(tiny_sweep())

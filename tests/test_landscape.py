@@ -25,6 +25,7 @@ from odecontrol.landscape import (
 )
 from odecontrol.nets import Activation, SingleNeuron
 from odecontrol.oracles import constant_oc
+from odecontrol.pool import blas_threads
 
 # the exact optimum of the constant problem for a linear neuron u = w t + b
 THETA_STAR = np.array([0.0, -1.0])
@@ -150,6 +151,8 @@ class TestProject:
         np.testing.assert_array_equal(serial.loss, pooled.loss)
         np.testing.assert_array_equal(serial.mse_u, pooled.mse_u)
         np.testing.assert_array_equal(serial.energy, pooled.energy)
+        assert serial.manifest()["blas_threads"] == {"parent": blas_threads(), "workers": None}
+        assert pooled.manifest()["blas_threads"] == {"parent": blas_threads(), "workers": 1}
 
     def test_divergent_cells_become_nan(self):
         # stiff drift blows up forward Euler long before the horizon
