@@ -311,31 +311,33 @@ def mse_times(samples: int, horizon: float) -> np.ndarray:
 
 
 def sample_control(u, ts: np.ndarray, name: str) -> np.ndarray:
-    """(M, m) controls on the times ts: a callable t -> control is called once
-    per time, and an (M,) or (M, m) array is taken as sampled there already."""
+    """(..., M, m) controls on the times ts: a callable t -> control is called
+    once per time, and an (M,) or (..., M, m) array is taken as sampled there
+    already (leading axes are runs)."""
     if callable(u):
         return np.stack([np.atleast_1d(np.asarray(u(t), dtype=np.float64)) for t in ts])
     u = np.asarray(u, dtype=np.float64)
     if u.ndim == 1:
         u = u[:, None]
-    if u.shape[0] != ts.shape[0]:
-        raise DimensionError(f"{name} has {u.shape[0]} samples, expected {ts.shape[0]}")
+    if u.shape[-2] != ts.shape[0]:
+        raise DimensionError(f"{name} has {u.shape[-2]} samples, expected {ts.shape[0]}")
     return u
 
 
-def mse_control(u_hat, u_star, samples: int, horizon: float) -> float:
+def mse_control(u_hat, u_star, samples: int, horizon: float):
     """Mean squared control mismatch over t_i = i*T/M, i = 1..M (mse_times).
 
     Each of u_hat and u_star may be a callable t -> control or controls
-    already sampled on that grid (see sample_control).
+    already sampled on that grid (see sample_control); a run-major
+    (..., M, m) u_hat gives one value per run against the shared u_star.
     """
     ts = mse_times(samples, horizon)
     uh = sample_control(u_hat, ts, "u_hat")
     us = sample_control(u_star, ts, "u_star")
-    if us.shape != uh.shape:
+    if us.shape != uh.shape[-2:]:
         raise DimensionError(f"control shapes differ: {uh.shape} vs {us.shape}")
     d = uh - us
-    return float(np.sum(d * d) / samples)
+    return _per_run(np.sum(d * d, axis=(-2, -1)) / samples)
 
 
 def validate_particle_constraints(

@@ -4,22 +4,26 @@ trained parameter vector.
 theta = theta* + alpha*delta + beta*d2 with delta, d2 drawn i.i.d. standard
 normal per coordinate. Directions are stored on the spec so any grid can be
 reproduced bit for bit; cells that blow up the integrator are recorded as
-NaN rather than aborting the grid.
+NaN rather than aborting the grid. The grid is evaluated in blocks of cells,
+each block one population of runs (one forward_batch per time grid and one
+Euler scan), so every cell equals its own single-run evaluation bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .dynamics import (
     ControlProblem,
     DivergenceError,
+    Trajectory,
     control_energy,
+    euler_states,
     mse_control,
     mse_times,
-    rollout,
     sample_control,
     terminal_loss,
 )
@@ -31,6 +35,10 @@ from .pool import cell_pool, thread_record
 # takes the same range and count
 PROJECTION_AXIS = Axis("alpha", -0.4, 0.4, 101)
 _RANGE = (PROJECTION_AXIS.lo, PROJECTION_AXIS.hi)
+# floats per layer activation of one block: a block holds
+# _BLOCK_FLOATS // (max(K, samples) * widest layer) cells, so small nets run
+# many cells per population while wide, BLAS-bound nets run one
+_BLOCK_FLOATS = 2**14
 
 
 @dataclass(frozen=True)
@@ -79,10 +87,11 @@ class ProjectionSpec:
             return np.zeros(1)
         return self.beta.values()
 
-    def theta_at(self, alpha: float, beta: float = 0.0) -> np.ndarray:
-        theta = self.theta_star + alpha * self.delta
+    def theta_at(self, alpha, beta=0.0) -> np.ndarray:
+        """theta at one cell, or (C, P) rows for (C,) arrays of cell coordinates."""
+        theta = self.theta_star + np.multiply.outer(alpha, self.delta)
         if self.d2 is not None:
-            theta = theta + beta * self.d2
+            theta = theta + np.multiply.outer(beta, self.d2)
         return theta
 
 
@@ -108,28 +117,39 @@ def make_projection(
     return ProjectionSpec(theta_star, delta, alpha, d2, beta, seed=seed)
 
 
-def _eval_theta(problem, model, theta, ts, us) -> tuple[float, float, float]:
-    try:
-        # overflow on a blown-up cell is routine; the integrator raises
-        # DivergenceError on non-finite states and the cell becomes NaN
-        with np.errstate(over="ignore", invalid="ignore"):
-            traj = rollout(problem, model, theta)
-    except DivergenceError:
-        return np.nan, np.nan, np.nan
-    loss = terminal_loss(traj, problem.x_star)
-    energy = control_energy(traj)
-    mse = mse_control(model.forward_batch(theta, ts), us, ts.shape[0], problem.T)
-    if not (np.isfinite(loss) and np.isfinite(mse) and np.isfinite(energy)):
-        return np.nan, np.nan, np.nan
-    return loss, mse, energy
+def _block_cells(model, steps: int, samples: int) -> int:
+    """Cells per block: a fixed float budget over the widest activation."""
+    widest = max(max(fi, fo) for fi, fo, _ in model.layer_shapes())
+    return max(1, _BLOCK_FLOATS // (max(steps, samples) * widest))
 
 
-def _project_row(args):
-    spec, problem, model, ts, us, alpha = args
-    out = []
-    for beta in spec.betas():
-        theta = spec.theta_at(float(alpha), float(beta))
-        out.append(_eval_theta(problem, model, theta, ts, us))
+def _project_block(spec, problem, model, ts, us, cells) -> np.ndarray:
+    """(loss, control MSE, energy) rows for a (C, 2) block of (alpha, beta)
+    cells, evaluated as one population of C runs.
+
+    A run whose scan leaves the finite range is dropped and the survivors
+    are scanned again; a cell with any non-finite value is NaN in all three.
+    """
+    out = np.full((len(cells), 3), np.nan)
+    theta = spec.theta_at(cells[:, 0], cells[:, 1])
+    live = np.arange(len(cells))
+    # overflow on a blown-up cell is routine; it ends up NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        controls = model.forward_batch(theta, problem.times()[:-1])
+        u_hat = model.forward_batch(theta, ts)
+        while True:
+            try:
+                states = euler_states(problem, controls[live])
+                break
+            except DivergenceError as err:
+                live = live[err.steps < 0]
+            if not live.size:
+                return out
+        traj = Trajectory(problem.times(), states, controls[live], dynamics=problem.dynamics)
+        out[live, 0] = terminal_loss(traj, problem.x_star)
+        out[live, 1] = mse_control(u_hat[live], us, ts.shape[0], problem.T)
+        out[live, 2] = control_energy(traj)
+    out[~np.isfinite(out).all(axis=1)] = np.nan
     return out
 
 
@@ -185,19 +205,24 @@ def project(
 
     u_star is a callable t -> optimal control, used for the MSE surface with
     `samples` grid points. It is sampled once up front (so closures are fine
-    with worker pools); rows of fixed alpha then run independently, in a
-    process pool for workers > 1 (see pool.cell_pool).
+    with worker pools). The cells, alpha-major, are cut into blocks that
+    each run as one population (see _block_cells), so every cell equals its
+    own single-run rollout bit for bit; for workers > 1 a process pool
+    spreads the blocks (see pool.cell_pool).
     """
-    alphas = spec.alphas()
+    alphas, betas = spec.alphas(), spec.betas()
     ts = mse_times(samples, problem.T)
     us = sample_control(u_star, ts, "u_star")
-    tasks = [(spec, problem, model, ts, us, float(a)) for a in alphas]
+    cells = np.stack(np.meshgrid(alphas, betas, indexing="ij"), axis=-1).reshape(-1, 2)
+    size = _block_cells(model, problem.steps, samples)
+    blocks = [cells[i:i + size] for i in range(0, len(cells), size)]
+    evaluate = partial(_project_block, spec, problem, model, ts, us)
     if workers > 1:
         with cell_pool(workers) as pool:
-            rows = list(pool.map(_project_row, tasks, chunksize=1))
+            rows = list(pool.map(evaluate, blocks, chunksize=1))
     else:
-        rows = [_project_row(t) for t in tasks]
-    grid = np.asarray(rows, dtype=np.float64)  # (alpha, beta, 3)
+        rows = [evaluate(b) for b in blocks]
+    grid = np.concatenate(rows).reshape(len(alphas), len(betas), 3)
     return ProjectionResult(
         spec=spec,
         loss=grid[:, :, 0],

@@ -8,6 +8,11 @@ arrays, and vjp replays it backwards for K cotangents at once, returning the
 sum of the K pullbacks (a scalar t is the K = 1 case). All models expose the
 same quartet (n_params, forward, forward_batch, vjp), so the gradient and
 training code never cares which shape of controller it is driving.
+
+forward_batch also takes a run axis: a (..., P) theta holds one run per row
+and gives (..., K, out_dim) controls, each run bit-equal to its own call.
+SingleNeuron and ConstantControl take the run axis in vjp too; an MLP's vjp
+and forward take one run's theta.
 """
 
 from __future__ import annotations
@@ -218,25 +223,37 @@ class MlpSpec:
         """[(w_start, w_end, b_start, b_end)] per layer into the flat theta."""
         return list(self._offs)
 
-    def _check_theta(self, theta: np.ndarray) -> np.ndarray:
+    def _check_theta(self, theta: np.ndarray, runs: bool = False) -> np.ndarray:
+        """theta as float64: one run's (P,) vector, or (..., P) when runs is set."""
         theta = np.asarray(theta, dtype=np.float64)
-        if theta.shape != (self._n_params,):
+        if theta.shape[-1:] != (self._n_params,) or (theta.ndim > 1 and not runs):
+            want = "(..., P)" if runs else "(P,)"
             raise DimensionError(
-                f"theta must have shape ({self._n_params},), got {theta.shape}; an MLP "
-                f"takes one run's theta"
+                f"theta must have shape {want} with P = {self._n_params}, got "
+                f"{theta.shape}; an MLP's forward and vjp take one run's theta"
             )
         return theta
 
     def _tape(self, theta: np.ndarray, ts: np.ndarray):
-        """Run the net on a (K,) time array, keeping inputs and pre-activations."""
+        """Run the net on a (K,) time array, keeping inputs and pre-activations.
+
+        A (..., P) theta gives (..., K, width) arrays: each run's layer is the
+        stacked product np.matmul(a, W^T), one BLAS call per run with the
+        arguments of the single run's a @ W^T, so every run equals its own
+        call bit for bit.
+        """
+        runs = theta.shape[:-1]
+        if runs:  # each run's bias row then broadcasts over its K rows
+            theta = theta[..., None, :]
         tape = []
         a = ts[:, None]
         for (fi, fo, has_b), (w0, w1, b0, b1), act in zip(
             self._shapes, self._offs, self._acts
         ):
-            z = a @ theta[w0:w1].reshape(fo, fi).T
+            w = theta[..., w0:w1].reshape(*runs, fo, fi)
+            z = np.matmul(a, w.swapaxes(-1, -2))
             if has_b:
-                z += theta[b0:b1]
+                z += theta[..., b0:b1]
             tape.append((a, z))
             a = act.value(z)
         return a, tape
@@ -247,8 +264,10 @@ class MlpSpec:
         return y[0]
 
     def forward_batch(self, theta, ts: np.ndarray) -> np.ndarray:
-        """Controls at a 1-D array of times, shape (len(ts), out_dim)."""
-        y, _ = self._tape(self._check_theta(theta), np.asarray(ts, dtype=np.float64))
+        """Controls (..., len(ts), out_dim) at a 1-D array of times; a
+        (..., P) theta holds one run per row."""
+        y, _ = self._tape(self._check_theta(theta, runs=True),
+                          np.asarray(ts, dtype=np.float64))
         return y
 
     def vjp(self, theta, t, ybar) -> np.ndarray:

@@ -20,6 +20,7 @@ import numpy as np
 from .dynamics import ControlProblem, DivergenceError, Trajectory, control_energy
 from .gradients import LossSpec, bptt_grad, tbptt_grad
 from .linalg import DimensionError, SeededRng, check_count, row_dot
+from .nets import MlpSpec
 
 
 def check_eta(eta: float) -> None:
@@ -251,7 +252,7 @@ def train_runs(
     per-run product and reduction there is one BLAS call per run with the
     arguments of the single call. More than one run needs bptt, no
     recorder, and a controller whose forward_batch and vjp take a leading
-    run axis (SingleNeuron, ConstantControl).
+    run axis (SingleNeuron, ConstantControl; an MlpSpec's vjp takes one run).
     """
     check_count("epochs", epochs)
     if protocol.kind == "tbptt" and loss.integrated is not None:
@@ -270,6 +271,9 @@ def train_runs(
     if runs > 1 and (protocol.kind == "tbptt" or record_delta_u or record_energy_identity):
         raise ValueError("a population of runs trains with bptt and no recorder; "
                          "train tbptt and recorded runs one at a time")
+    if runs > 1 and isinstance(model, MlpSpec):
+        raise ValueError("an MlpSpec trains one run at a time: its vjp takes one "
+                         "run's theta")
     coeffs = _scalar_linear_coeffs(problem)
     if record_delta_u and coeffs is None:
         raise ValueError("delta-u recorder needs a scalar linear-flow problem")

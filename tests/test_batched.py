@@ -15,8 +15,10 @@ bit with one control input (at 1e-12 with more).
 The population path (train_runs, a leading run axis through the nets, the
 scan and bptt_grad) must equal one train call per row bit for bit. It rests
 on one invariant of numpy's stacked matvec, checked here by name: row r of
-np.matmul(A, X[..., None]) is A @ X[r]. Runs are derandomized, so a pass or
-a failure repeats exactly.
+np.matmul(A, X[..., None]) is A @ X[r]. An MlpSpec forward over an (R, P)
+theta must equal R single calls bit for bit, for every activation and for
+layers up to 122 wide. Runs are derandomized, so a pass or a failure
+repeats exactly.
 """
 
 import numpy as np
@@ -228,6 +230,53 @@ class TestMlpBatched:
             model.vjp(theta, np.zeros(4), np.zeros((3, 2)))
         with pytest.raises(DimensionError):
             model.vjp(theta, 0.5, np.zeros((1, 2)))
+
+
+@st.composite
+def mlp_populations(draw):
+    """An MlpSpec with layers up to 122 wide, an (R, P) theta of up to 40
+    runs, and K times."""
+    depth = draw(st.integers(0, 3))
+    hidden = tuple(draw(st.lists(st.integers(1, 122), min_size=depth, max_size=depth)))
+    model = MlpSpec(hidden, activation=draw(activations), out_dim=draw(st.integers(1, 2)),
+                    use_bias=draw(st.booleans()))
+    rng = np.random.default_rng(draw(seeds))
+    thetas = rng.normal(size=(draw(st.integers(1, 40)), model.n_params))
+    return model, thetas, rng.uniform(0.0, 2.0, size=draw(st.integers(1, 100)))
+
+
+def check_population_forward(model, thetas, ts):
+    """forward_batch over (..., P) thetas against one call per run, bit for bit."""
+    batch = model.forward_batch(thetas, ts)
+    assert batch.shape == thetas.shape[:-1] + (ts.shape[0], model.out_dim)
+    for r in np.ndindex(thetas.shape[:-1]):
+        assert np.array_equal(batch[r], model.forward_batch(thetas[r], ts))
+
+
+class TestMlpPopulationForward:
+    @SETTINGS
+    @given(mlp_populations())
+    def test_rows_are_single_calls(self, case):
+        check_population_forward(*case)
+
+    @pytest.mark.parametrize("act", ACTIVATIONS, ids=lambda a: a.kind)
+    @pytest.mark.parametrize("use_bias", [True, False], ids=["bias", "no_bias"])
+    def test_widest_nets(self, act, use_bias):
+        model = MlpSpec((122, 122), activation=act, out_dim=2, use_bias=use_bias)
+        rng = np.random.default_rng(4)
+        thetas, ts = rng.normal(size=(40, model.n_params)), rng.uniform(0.0, 2.0, 100)
+        check_population_forward(model, thetas, ts)
+        check_population_forward(model, thetas[:6].reshape(2, 3, -1), ts)
+
+    def test_vjp_takes_one_run(self):
+        model = MlpSpec((3,), out_dim=2)
+        thetas = np.zeros((2, model.n_params))
+        with pytest.raises(DimensionError, match="one run's theta"):
+            model.vjp(thetas, np.zeros(4), np.zeros((2, 4, 2)))
+        with pytest.raises(DimensionError, match="one run's theta"):
+            model.forward(thetas, 0.5)
+        with pytest.raises(DimensionError):
+            model.forward_batch(np.zeros((2, model.n_params + 1)), np.zeros(4))
 
 
 class TestSmallControllersBatched:
@@ -501,6 +550,17 @@ class TestPopulationTraining:
             train_runs(problem, model, thetas, Sd(0.1), 3, loss=[LossSpec(), LossSpec()])
         with pytest.raises(ValueError, match="tbptt_grad takes one run"):
             tbptt_grad(problem, model, thetas, 0)
+
+    def test_mlp_population_is_rejected_up_front(self, monkeypatch):
+        # an MlpSpec's forward takes a population, so the rejection must come
+        # before the first rollout, not from the vjp after it
+        def no_forward(*args):
+            raise AssertionError("the population reached the forward")
+
+        monkeypatch.setattr(MlpSpec, "forward_batch", no_forward)
+        mlp = MlpSpec((3,))
+        with pytest.raises(ValueError, match="its vjp takes one run's theta"):
+            train_runs(constant_problem(10), mlp, np.zeros((2, mlp.n_params)), Sd(0.1), 3)
 
     def test_one_run_may_use_tbptt_and_recorders(self):
         problem = constant_problem(10)

@@ -1,30 +1,49 @@
 """Projections of the loss surface around a parameter vector. The center of
 the grid must reproduce the plain evaluation of that vector exactly, grids
 must be bit-reproducible from their seed, and worker pools must not change
-a single value."""
+a single value. project evaluates blocks of cells as populations; every
+cell must equal the one-cell-at-a-time evaluation kept here as a reference,
+bit for bit, NaN where it is NaN."""
 
 import json
 
 import numpy as np
 import pytest
 
+from odecontrol import landscape
 from odecontrol.dynamics import (
     ControlProblem,
+    DivergenceError,
     control_energy,
+    euler_states,
     integrate_euler,
     mse_control,
+    mse_times,
+    rollout,
+    sample_control,
     scalar_linear,
     terminal_loss,
 )
-from odecontrol.experiments import Axis, constant_problem
+from odecontrol.experiments import Axis, constant_problem, flow2d_problem
+from odecontrol.linalg import SeededRng
 from odecontrol.landscape import (
     ProjectionSpec,
     make_projection,
     project,
     sharpness_1d,
 )
-from odecontrol.nets import Activation, SingleNeuron
-from odecontrol.oracles import constant_oc
+from odecontrol.nets import (
+    RELU,
+    TANH,
+    Activation,
+    ConstantControl,
+    InitScheme,
+    MlpSpec,
+    SingleNeuron,
+    elu,
+    init_params,
+)
+from odecontrol.oracles import constant_oc, oc_for_problem
 from odecontrol.pool import blas_threads
 
 # the exact optimum of the constant problem for a linear neuron u = w t + b
@@ -163,6 +182,137 @@ class TestProject:
         assert np.isnan(res.loss).all()
         assert np.isnan(res.mse_u).all()
         assert np.isnan(res.energy).all()
+
+
+def eval_theta(problem, model, theta, ts, us) -> tuple[float, float, float]:
+    """One cell on its own: a single-run rollout and a single-run forward on
+    the MSE grid, NaN in all three when any value is not finite."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = rollout(problem, model, theta)
+    except DivergenceError:
+        return np.nan, np.nan, np.nan
+    loss = terminal_loss(traj, problem.x_star)
+    energy = control_energy(traj)
+    mse = mse_control(model.forward_batch(theta, ts), us, ts.shape[0], problem.T)
+    if not (np.isfinite(loss) and np.isfinite(mse) and np.isfinite(energy)):
+        return np.nan, np.nan, np.nan
+    return loss, mse, energy
+
+
+def per_cell(spec, problem, model, u_star, samples):
+    """The (alpha, beta, 3) grid of eval_theta, one cell at a time."""
+    ts = mse_times(samples, problem.T)
+    us = sample_control(u_star, ts, "u_star")
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.array([[eval_theta(problem, model, spec.theta_at(float(a), float(b)), ts, us)
+                          for b in spec.betas()] for a in spec.alphas()])
+
+
+def assert_matches_per_cell(res, spec, problem, model, u_star, samples):
+    want = per_cell(spec, problem, model, u_star, samples)
+    got = np.stack([res.loss, res.mse_u, res.energy], axis=-1)
+    assert np.array_equal(got, want, equal_nan=True)
+    return want
+
+
+def mlp_setup():
+    """The shipped projection shape: a 5x5 elu net on the scalar problem, K = 100."""
+    problem = ControlProblem(scalar_linear(1.0, 1.0), [0.0], [1.0], 1.0, 100)
+    model = MlpSpec((5, 5), activation=elu())
+    theta = init_params(model, InitScheme.uniform(), SeededRng(2))
+    return problem, model, theta, oc_for_problem(problem).u_star
+
+
+def flow2d_setup(model):
+    problem = flow2d_problem(40)
+    theta = np.random.default_rng(6).normal(size=model.n_params)
+    return problem, model, theta, oc_for_problem(problem).u_star
+
+
+SETUPS = {
+    "mlp": mlp_setup,
+    "neuron": lambda: flow2d_setup(SingleNeuron(TANH)),
+    "constant": lambda: flow2d_setup(ConstantControl()),
+}
+
+
+def partial_divergence():
+    """A relu neuron u = relu(w t) + b on x' = 10 x + u. alpha sets w = -alpha
+    and b = alpha * 1e-306, so the cells with alpha < 0 (w > 0) blow up, each
+    at a step set by its w, while those with alpha >= 0 (u = b) stay finite
+    and differ from row to row; beta moves b."""
+    problem = ControlProblem(scalar_linear(10.0, 1.0), [1.0], [0.0], 1.0, 50)
+    spec = ProjectionSpec([0.0, 0.0], [-1.0, 1e-306], Axis("alpha", -1e306, 1e306, 9),
+                          [0.0, 1.0], Axis("beta", -0.4, 0.4, 5))
+    return problem, SingleNeuron(RELU), spec
+
+
+class TestBlocksMatchPerCell:
+    """project's blocks of cells against the one-cell-at-a-time reference."""
+
+    # the default budget, and one that cuts the grids into blocks of a few
+    # cells with a short last block
+    @pytest.fixture(params=[None, 2**9], ids=["default_blocks", "small_blocks"])
+    def budget(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(landscape, "_BLOCK_FLOATS", request.param)
+        return request.param
+
+    @pytest.mark.parametrize("name", sorted(SETUPS))
+    @pytest.mark.parametrize("two_d", [False, True], ids=["1d", "2d"])
+    def test_grid(self, budget, name, two_d):
+        problem, model, theta, u_star = SETUPS[name]()
+        spec = make_projection(theta, seed=3, two_d=two_d, alpha_count=9, beta_count=7,
+                               alpha_range=(-2.0, 2.0), beta_range=(-2.0, 2.0))
+        res = project(spec, problem, model, u_star, samples=30)
+        assert_matches_per_cell(res, spec, problem, model, u_star, 30)
+
+    def test_block_sizes(self):
+        assert landscape._block_cells(MlpSpec((14, 14), out_dim=1), 100, 100) == 11
+        assert landscape._block_cells(MlpSpec((5, 5)), 100, 100) == 32
+        assert landscape._block_cells(MlpSpec((122, 122, 122)), 100, 100) == 1
+        assert landscape._block_cells(SingleNeuron(), 100, 10) == 163
+        assert landscape._block_cells(MlpSpec((5,)), 10, 400) == 8
+
+    def test_pool_matches_serial(self, budget):
+        problem, model, theta, u_star = mlp_setup()
+        spec = make_projection(theta, seed=9, two_d=True, alpha_count=5, beta_count=7)
+        serial = project(spec, problem, model, u_star, samples=20)
+        pooled = project(spec, problem, model, u_star, samples=20, workers=2)
+        for name in ("loss", "mse_u", "energy"):
+            assert np.array_equal(getattr(serial, name), getattr(pooled, name))
+        assert_matches_per_cell(pooled, spec, problem, model, u_star, 20)
+
+    def test_some_cells_diverge(self, budget):
+        problem, model, spec = partial_divergence()
+        cells = np.stack(np.meshgrid(spec.alphas(), spec.betas(), indexing="ij"), -1)
+        thetas = spec.theta_at(cells[..., 0].ravel(), cells[..., 1].ravel())
+        with pytest.raises(DivergenceError) as info, \
+                np.errstate(over="ignore", invalid="ignore"):
+            euler_states(problem, model.forward_batch(thetas, problem.times()[:-1]))
+        steps = info.value.steps
+        assert len(set(steps[steps >= 0])) >= 3  # runs stop at different steps
+        u_star = lambda t: np.zeros(1)
+        res = project(spec, problem, model, u_star, samples=20)
+        want = assert_matches_per_cell(res, spec, problem, model, u_star, 20)
+        finite = np.isfinite(want).all(axis=-1)
+        assert np.array_equal(finite, (steps < 0).reshape(finite.shape))
+        assert not finite[:4].any() and finite[4:].all()  # w > 0 diverges, w <= 0 not
+        assert len(set(want[4:, 0, 0])) == 5
+        pooled = project(spec, problem, model, u_star, samples=20, workers=2)
+        assert np.array_equal(pooled.loss, res.loss, equal_nan=True)
+
+    def test_a_cell_with_one_overflowing_value_is_nan(self):
+        # u = c on x' = u over T = 0.5 in one step: loss c^2/8 and energy
+        # c^2/4 stay finite at |c| = 1e154, while the MSE's sum of two c^2
+        # overflows there (and not at |c| = 5e153)
+        problem = ControlProblem(scalar_linear(0.0, 1.0), [0.0], [0.0], 0.5, 1)
+        spec = ProjectionSpec([0.0], [1.0], Axis("alpha", -1e154, 1e154, 5))
+        model, u_star = ConstantControl(), lambda t: np.zeros(1)
+        res = project(spec, problem, model, u_star, samples=2)
+        want = assert_matches_per_cell(res, spec, problem, model, u_star, 2)
+        assert np.isnan(want[[0, -1]]).all() and np.isfinite(want[1:-1]).all()
 
 
 class TestProjectionCsvManifest:
