@@ -9,8 +9,6 @@ adjoint code must share one convention.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -166,37 +164,6 @@ class Trajectory:
 
     def final_state(self) -> np.ndarray:
         return self.states[..., -1, :]
-
-    def to_csv(self, path_or_file) -> None:
-        """t, x1..xn, u1..um rows; the final row has empty control fields."""
-        n = self.states.shape[1]
-        m = self.controls.shape[1]
-        header = (
-            ["t"]
-            + [f"x{i + 1}" for i in range(n)]
-            + [f"u{j + 1}" for j in range(m)]
-        )
-        own = isinstance(path_or_file, (str, bytes))
-        fh = open(path_or_file, "w", newline="") if own else path_or_file
-        try:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for k in range(self.steps + 1):
-                row = [repr(float(self.times[k]))]
-                row += [repr(float(v)) for v in self.states[k]]
-                if k < self.steps:
-                    row += [repr(float(v)) for v in self.controls[k]]
-                else:
-                    row += [""] * m
-                writer.writerow(row)
-        finally:
-            if own:
-                fh.close()
-
-    def to_csv_string(self) -> str:
-        buf = io.StringIO()
-        self.to_csv(buf)
-        return buf.getvalue()
 
 
 def euler_states(problem: ControlProblem, controls: np.ndarray) -> np.ndarray:

