@@ -5,6 +5,13 @@ is deliberately the plain left-endpoint scheme
 x_{k+1} = x_k + dt * (A x_k + B u_k) with u_k = controller(t_k): training
 differentiates through exactly this recursion, so the simulator and the
 adjoint code must share one convention.
+
+Driftless systems (every entry of A is +0 or -0, as in x' = u) skip the
+per-step loop with the same bits. For finite x, np.matmul(A, x) is +0
+there, so step k is (+0 + B u_k) dt, and np.add.accumulate sums the steps
+onto x0 in time order (a pairwise sum would round differently). A state
+that is inf or NaN stays non-finite in every later step on both paths, so
+the one check after the scan names the same first bad step.
 """
 
 from __future__ import annotations
@@ -29,14 +36,25 @@ class DivergenceError(RuntimeError):
         self.steps = np.asarray(self.step if steps is None else steps)
 
 
+def frozen_finite(a: np.ndarray, name: str) -> np.ndarray:
+    """A read-only copy of a, or a ValueError naming it if an entry is not
+    finite. Rollouts read A, B, x0 and x* on every call (euler_states picks
+    its path from A), so a caller's later write must not reach them."""
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must be finite, got {a.tolist()}")
+    a = a.copy()
+    a.flags.writeable = False
+    return a
+
+
 class LinearDynamics:
-    """x' = A x + B u."""
+    """x' = A x + B u, with A and B kept as read-only copies."""
 
     name = "linear"
 
     def __init__(self, a, b):
-        self.A = as_matrix(a, "A")
-        self.B = as_matrix(b, "B")
+        self.A = frozen_finite(as_matrix(a, "A"), "A")
+        self.B = frozen_finite(as_matrix(b, "B"), "B")
         if self.A.shape[0] != self.A.shape[1]:
             raise DimensionError(f"A must be square, got {self.A.shape}")
         if self.B.shape[0] != self.A.shape[0]:
@@ -74,7 +92,10 @@ class MovingParticleDynamics(LinearDynamics):
 
 @dataclass(frozen=True)
 class ControlProblem:
-    """Steering task: drive dynamics from x0 to x_star over [0, T] in K steps."""
+    """Steering task: drive dynamics from x0 to x_star over [0, T] in K steps.
+
+    x0 and x_star are kept as read-only copies and must be finite.
+    """
 
     dynamics: LinearDynamics
     x0: np.ndarray
@@ -85,8 +106,9 @@ class ControlProblem:
     def __post_init__(self):
         if not isinstance(self.dynamics, LinearDynamics):
             raise TypeError(f"dynamics must be a LinearDynamics, got {self.dynamics!r}")
-        object.__setattr__(self, "x0", as_vector(self.x0, "x0"))
-        object.__setattr__(self, "x_star", as_vector(self.x_star, "x_star"))
+        object.__setattr__(self, "x0", frozen_finite(as_vector(self.x0, "x0"), "x0"))
+        object.__setattr__(self, "x_star",
+                           frozen_finite(as_vector(self.x_star, "x_star"), "x_star"))
         object.__setattr__(self, "T", float(self.T))
         object.__setattr__(self, "steps", int(self.steps))
         n = self.dynamics.n
@@ -176,6 +198,11 @@ def euler_states(problem: ControlProblem, controls: np.ndarray) -> np.ndarray:
     scan bit for bit. Raises DivergenceError naming each run's first step
     whose state is not finite; once a state is inf or NaN every later one is
     too, so one check after the scan finds the step a per-step check would.
+
+    When A is zero (not A.any(), so -0 entries count) there is no loop: the
+    steps (B u_k + 0.0) dt are formed in one call, and the + 0.0 is the
+    loop's +0 = A x_k, which turns a -0 product into +0; the states are
+    their in-order prefix sum from x0, np.add.accumulate along time.
     """
     dyn = problem.dynamics
     k_steps, dt, a = problem.steps, problem.dt, dyn.A
@@ -185,12 +212,24 @@ def euler_states(problem: ControlProblem, controls: np.ndarray) -> np.ndarray:
     step = np.empty(lead + (dyn.n, 1))
     with np.errstate(over="ignore", invalid="ignore"):
         bu = time_major(controls @ dyn.B.T)[..., None]
+        if not a.any():
+            # A x_k is +0 for finite x_k, so step k is (+0 + B u_k) dt, and
+            # accumulate adds the steps to x0 in time order
+            np.add(bu, 0.0, states[1:])
+            states[1:] *= dt
+            return _run_major_finite(np.add.accumulate(states, axis=0, out=states))
         x = states[0]
         for bu_k, x_next in zip(bu, states[1:]):
             np.matmul(a, x, step)
             step += bu_k
             step *= dt
             x = np.add(x, step, x_next)
+    return _run_major_finite(states)
+
+
+def _run_major_finite(states: np.ndarray) -> np.ndarray:
+    """The (..., K+1, n) states of a (K+1, ..., n, 1) scan buffer, or
+    DivergenceError naming each run's first step that is not finite."""
     bad = ~np.isfinite(states[1:]).all(axis=(-2, -1))
     if bad.any():
         first = np.where(bad.any(axis=0), bad.argmax(axis=0), -1)

@@ -10,13 +10,20 @@ tbptt_grad keeps a single time index k' and does exactly one vjp; its
 "propagated" variant uses the true adjoint at k'+1 so the K single-index
 gradients sum back to the full one, while "frozen" zeroes all state
 sensitivity downstream of k'.
+
+With A = 0 (every entry +0 or -0) and no work cost, the adjoint step
+lambda -> lambda + dt (A^T lambda) maps a finite nonzero lambda to itself,
++-0 to +0 and +-inf to NaN, and a second application changes no bit. So
+both adjoints take the real step once from lambda_K and reuse its result;
+the step is kept because lambda_K = x_K - x* can overflow to inf. The work
+cost adds a state term per step, so it keeps the loop.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -103,7 +110,8 @@ def bptt_grad(
     trajectory carry the same run axes, and each run counts K vjps. The
     adjoint scan keeps a time-major column buffer and forms A^T lambda as the
     stacked matvec, so each run's gradient equals its own call's bit for bit
-    (see euler_states).
+    (see euler_states). With A = 0 and no work cost the scan is one step,
+    whose result fills lambda_1..lambda_{K-1} (see the module docstring).
     """
     theta = np.asarray(theta, dtype=np.float64)
     traj = rollout(problem, model, theta)
@@ -124,12 +132,18 @@ def bptt_grad(
         u = us[..., 0]
         work = (mu * dt * time_major(np.stack([np.zeros_like(u), u], axis=-1)))[:0:-1, ..., None]
     # lambda_k = lambda_{k+1} + dt A^T lambda_{k+1} (+ work), for k = K-1 down to 1
-    for lam, lam_prev, w in zip(lams[:0:-1], lams[-2::-1], work):
+    scan = zip(lams[:0:-1], lams[-2::-1], work)
+    driftless = loss.integrated != "work" and not dyn.A.any()
+    if driftless:  # the step is idempotent: take it once, then copy its result
+        scan = islice(scan, 1)
+    for lam, lam_prev, w in scan:
         np.matmul(a_t, lam, step)
         step *= dt
         np.add(lam, step, lam_prev)
         if w is not None:
             lam_prev += w
+    if driftless:
+        lams[:-1] = lams[-2:-1]
     g_us = dt * np.matmul(run_major(lams[..., 0]), dyn.B)
     if loss.integrated == "energy":
         g_us += mu * dt * us
@@ -154,6 +168,7 @@ def tbptt_grad(
     sensitivities treated as zero: dt * J_u(t_k')^T B^T (x_K - x*).
     variant "propagated" (default) replaces the frozen cotangent with the true
     adjoint lambda_{k'+1}, so summing over k' = 0..K-1 reproduces bptt_grad.
+    With A = 0 it takes at most one adjoint step (see the module docstring).
     """
     if variant not in ("frozen", "propagated"):
         raise ValueError(f"unknown tbptt variant {variant!r}")
@@ -171,7 +186,10 @@ def tbptt_grad(
     if variant == "propagated":
         a_t = dyn.A.T
         step = np.empty_like(lam)
-        for _ in range(k_index + 1, k_steps):
+        steps = range(k_index + 1, k_steps)
+        if not dyn.A.any():  # the step is idempotent: take it at most once
+            steps = steps[:1]
+        for _ in steps:
             np.matmul(a_t, lam, step)
             step *= dt
             lam += step

@@ -212,16 +212,9 @@ class MlpSpec:
         """(fan_in, fan_out, has_bias) per layer, input to output."""
         return list(self._shapes)
 
-    def layer_activations(self) -> tuple[Activation, ...]:
-        return self._acts
-
     @property
     def n_params(self) -> int:
         return self._n_params
-
-    def _offsets(self):
-        """[(w_start, w_end, b_start, b_end)] per layer into the flat theta."""
-        return list(self._offs)
 
     def _check_theta(self, theta: np.ndarray, runs: bool = False) -> np.ndarray:
         """theta as float64: one run's (P,) vector, or (..., P) when runs is set."""

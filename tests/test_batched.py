@@ -21,11 +21,14 @@ layers up to 122 wide. Runs are derandomized, so a pass or a failure
 repeats exactly.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from odecontrol import dynamics
 from odecontrol.dynamics import (
     ControlProblem,
     DivergenceError,
@@ -78,7 +81,8 @@ def assert_close(got, want):
 def ref_layers(model, theta):
     """(W, b, activation) per MlpSpec layer, read off the flat theta."""
     out, pos = [], 0
-    for (fi, fo, has_b), act in zip(model.layer_shapes(), model.layer_activations()):
+    for (fi, fo, has_b), act in zip(model.layer_shapes(),
+                                     (model.activation,) * len(model.hidden) + (LINEAR,)):
         w = theta[pos:pos + fi * fo].reshape(fo, fi)
         pos += fi * fo
         b = theta[pos:pos + fo] if has_b else None
@@ -169,19 +173,32 @@ def mlps(draw, max_out=3):
 scales = st.sampled_from([1e-3, 1.0, 1e3, 1e150, 1e300])  # the last two can overflow
 
 
+def signed_zeros(rng, a):
+    """a with about half its finite entries replaced by +0 or -0."""
+    zero = (rng.random(a.shape) < 0.5) & np.isfinite(a)
+    return np.where(zero, rng.choice([0.0, -0.0], a.shape), a)
+
+
 @st.composite
 def linear_runs(draw):
-    """A random x' = A x + B u problem and K controls, maybe one inf or NaN."""
+    """A random x' = A x + B u problem and K controls, maybe one inf or NaN.
+
+    Half the runs are driftless (A = +0 or -0) with signed zeros in x0 and
+    the controls, where the scan is a prefix sum of (+0 + B u_k) dt.
+    """
     n, m, k = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 40))
     a_scale, b_scale, x_scale, u_scale = (draw(scales) for _ in range(4))
     rng = np.random.default_rng(draw(seeds))
-    dyn = LinearDynamics(a_scale * rng.normal(size=(n, n)), b_scale * rng.normal(size=(n, m)))
-    problem = ControlProblem(dyn, x_scale * rng.normal(size=n), np.zeros(n),
-                             rng.uniform(0.1, 5.0), k)
+    a, b = a_scale * rng.normal(size=(n, n)), b_scale * rng.normal(size=(n, m))
+    x0, horizon = x_scale * rng.normal(size=n), rng.uniform(0.1, 5.0)
     u = u_scale * rng.normal(size=(k, m))
     if draw(st.booleans()):
         row, col = draw(st.integers(0, k - 1)), draw(st.integers(0, m - 1))
         u[row, col] = draw(st.sampled_from([np.inf, -np.inf, np.nan]))
+    zero_a = draw(st.sampled_from([None, None, 0.0, -0.0]))
+    if zero_a is not None:
+        a, x0, u = np.full((n, n), zero_a), signed_zeros(rng, x0), signed_zeros(rng, u)
+    problem = ControlProblem(LinearDynamics(a, b), x0, np.zeros(n), horizon, k)
     return problem, u
 
 
@@ -314,13 +331,25 @@ class TestEulerOnSampledControls:
         assert np.array_equal(via_array.times, via_callable.times)
 
     def test_divergence_step_matches(self):
-        problem = time_dependent_problem(20)
+        # the loop (A = 1) and the driftless prefix sum (A = 0)
         u = np.ones((20, 1))
         u[7] = np.inf
-        for controller in (u, lambda t: u[int(round(t / problem.dt))]):
-            with pytest.raises(DivergenceError) as info:
-                integrate_euler(problem, controller)
-            assert info.value.step == 7
+        for problem in (time_dependent_problem(20), constant_problem(20)):
+            for controller in (u, lambda t: u[int(round(t / problem.dt))]):
+                with pytest.raises(DivergenceError) as info:
+                    integrate_euler(problem, controller)
+                assert info.value.step == 7
+
+    def test_prefix_sum_step_starts_from_plus_zero(self, monkeypatch):
+        # numpy's U B^T sums from +0, so it never returns -0; a product that
+        # kept an exact zero's sign would, and the loop's step would still be
+        # (A x_k + B u_k) dt = (+0 - 0) dt = +0, so x0 = -0 plus it is +0
+        orig = dynamics.time_major
+        monkeypatch.setattr(dynamics, "time_major",
+                            lambda a: np.where(orig(a) == 0.0, -0.0, orig(a)))
+        problem = ControlProblem(LinearDynamics([[-0.0]], [[1.0]]), [-0.0], [1.0], 1.0, 5)
+        got = integrate_euler(problem, np.zeros((5, 1))).states
+        assert got.tobytes() == np.array([[-0.0]] + [[0.0]] * 5).tobytes()
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(linear_runs())
@@ -333,8 +362,8 @@ class TestEulerOnSampledControls:
             assert err.step == step
         else:
             assert step is None
-            if u.shape[1] == 1:
-                assert np.array_equal(got, want)
+            if u.shape[1] == 1:  # bytes, so that -0 and +0 differ
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
             else:  # B u_k is one row of U B^T, not a per-step B @ u_k
                 scale = np.abs(want).max() or 1.0  # keeps the norms finite
                 assert_close(got / scale, want / scale)
@@ -399,6 +428,115 @@ class TestBatchedGradients:
                 "work": LossSpec.work(mu)}[kind]
         assert_close(bptt_grad(problem, model, theta, loss).grad,
                      ref_bptt(problem, model, theta, loss))
+
+
+def loop_bptt(problem, model, theta, loss):
+    """bptt_grad's adjoint as the K - 1 step loop, on the package's rollout;
+    with A = 0 the package takes one step of it and copies the result."""
+    traj = rollout(problem, model, theta)
+    a_t, dt, k_steps = problem.dynamics.A.T, problem.dt, problem.steps
+    runs = traj.controls.shape[:-2]
+    lams = np.empty((k_steps,) + runs + (problem.dynamics.n, 1))
+    lams[-1] = (traj.states[..., k_steps, :] - problem.x_star)[..., None]
+    step = np.empty(runs + (problem.dynamics.n, 1))
+    for lam, lam_prev in zip(lams[:0:-1], lams[-2::-1]):
+        np.matmul(a_t, lam, step)
+        step *= dt
+        np.add(lam, step, lam_prev)
+    g_us = dt * np.matmul(run_major(lams[..., 0]), problem.dynamics.B)
+    if loss.integrated == "energy":
+        g_us += loss.mu * dt * traj.controls
+    return model.vjp(theta, traj.times[:-1], g_us), loss.value(traj, problem.x_star)
+
+
+def loop_tbptt(problem, model, theta, k_index, variant):
+    """tbptt_grad's adjoint as the loop of K - 1 - k_index steps."""
+    traj = rollout(problem, model, theta)
+    lam = traj.states[problem.steps] - problem.x_star
+    if variant == "propagated":
+        step = np.empty_like(lam)
+        for _ in range(k_index + 1, problem.steps):
+            np.matmul(problem.dynamics.A.T, lam, step)
+            step *= problem.dt
+            lam += step
+    g_u = problem.dt * (problem.dynamics.B.T @ lam)
+    return model.vjp(theta, traj.times[k_index], g_u)
+
+
+@st.composite
+def driftless_cases(draw):
+    """x' = B u with A = +0 or -0, n and m up to 3, K up to 30, and a model
+    with one theta or a population of four. x* is random, equal to the first
+    run's x_K (lambda_K = +0), or such that lambda_K overflows to inf."""
+    n, k = draw(st.integers(1, 3)), draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(seeds))
+    if draw(st.booleans()):
+        model = draw(st.sampled_from(SMALL_MODELS))
+        theta = rng.normal(size=(4, model.n_params))
+    else:
+        model = draw(mlps())
+        theta = rng.normal(size=model.n_params)
+    a = np.full((n, n), draw(st.sampled_from([0.0, -0.0])))
+    b = rng.normal(size=(n, getattr(model, "out_dim", 1)))
+    target = draw(st.sampled_from(["random", "reached", "overflow"]))
+    x0 = np.full(n, 1e308) if target == "overflow" else rng.normal(size=n)
+    problem = ControlProblem(LinearDynamics(a, b), x0, np.zeros(n), rng.uniform(0.1, 5.0), k)
+    if target == "reached":
+        x_star = rollout(problem, model, theta).states[(0,) * (theta.ndim - 1) + (-1,)]
+    else:
+        x_star = -x0 if target == "overflow" else rng.normal(size=n)
+    return dataclasses.replace(problem, x_star=x_star), model, theta
+
+
+class TestDriftlessAdjoint:
+    """With A = 0 the adjoint step maps lambda to itself (+0 for +-0, NaN for
+    +-inf) and is idempotent, so one step equals the loop byte for byte."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(driftless_cases(), st.sampled_from([None, 0.0, 0.7]))
+    def test_bptt_equals_loop(self, case, mu):
+        problem, model, theta = case
+        loss = LossSpec.terminal() if mu is None else LossSpec.energy(mu)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = bptt_grad(problem, model, theta, loss)
+            want_grad, want_loss = loop_bptt(problem, model, theta, loss)
+        assert got.grad.tobytes() == want_grad.tobytes()
+        assert np.asarray(got.loss).tobytes() == np.asarray(want_loss).tobytes()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(driftless_cases())
+    def test_tbptt_equals_loop(self, case):
+        problem, model, theta = case
+        theta = theta.reshape(-1, theta.shape[-1])[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k_index in range(problem.steps):
+                for variant in ("propagated", "frozen"):
+                    got = tbptt_grad(problem, model, theta, k_index, variant).grad
+                    want = loop_tbptt(problem, model, theta, k_index, variant)
+                    assert got.tobytes() == want.tobytes(), (k_index, variant)
+
+    @pytest.mark.parametrize("runs", [(), (4,)], ids=["single", "population"])
+    def test_zero_and_overflowing_lambda(self, runs):
+        # u = -1 over 8 steps of 1/8 lands exactly on x* = x0 - 1, so
+        # lambda_K = +0; x_K - x* = 2e308 overflows to inf, which the one
+        # real step turns into NaN
+        model = ConstantControl()
+        theta = np.full(runs + (1,), -1.0)
+        for x0, nan in ((0.0, False), (1e308, True)):
+            x_star = -x0 if nan else x0 - 1.0
+            problem = ControlProblem(LinearDynamics([[0.0]], [[1.0]]), [x0], [x_star], 1.0, 8)
+            with np.errstate(over="ignore", invalid="ignore"):
+                for loss in (LossSpec.terminal(), LossSpec.energy(0.5)):
+                    got = bptt_grad(problem, model, theta, loss).grad
+                    assert got.tobytes() == loop_bptt(problem, model, theta, loss)[0].tobytes()
+                    if loss.integrated is None:  # NaN everywhere, or +0 everywhere
+                        assert np.isnan(got).all() if nan else (
+                            got.tobytes() == np.zeros_like(got).tobytes())
+                one = theta.reshape(-1)[:1]
+                for k_index in range(8):
+                    got = tbptt_grad(problem, model, one, k_index).grad
+                    want = loop_tbptt(problem, model, one, k_index, "propagated")
+                    assert got.tobytes() == want.tobytes()
 
 
 # -- the population axis ------------------------------------------------------

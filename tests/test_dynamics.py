@@ -57,6 +57,29 @@ class TestProblemSetup:
         with pytest.raises(DimensionError):
             LinearDynamics([[1.0]], [[1.0], [0.0]])
 
+    def test_caller_writes_do_not_reach_the_problem(self):
+        a, b, x0, xs = np.zeros((1, 1)), np.ones((1, 1)), np.zeros(1), np.ones(1)
+        p = ControlProblem(LinearDynamics(a, b), x0, xs, 1.0, 10)
+        want = integrate_euler(p, np.ones((10, 1))).states
+        for arr in (a, b, x0, xs):
+            arr[...] = 5.0
+        assert np.array_equal(integrate_euler(p, np.ones((10, 1))).states, want)
+        assert p.dynamics.A[0, 0] == 0.0 and p.x_star[0] == 1.0
+        for arr in (p.dynamics.A, p.dynamics.B, p.x0, p.x_star):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_is_named(self, bad):
+        with pytest.raises(ValueError, match="^A must be finite"):
+            LinearDynamics([[bad]], [[1.0]])
+        with pytest.raises(ValueError, match="^B must be finite"):
+            LinearDynamics([[0.0, 0.0], [0.0, 0.0]], [[1.0], [bad]])
+        with pytest.raises(ValueError, match="^x0 must be finite"):
+            ControlProblem(integrator(), [bad], [1.0], 1.0, 10)
+        with pytest.raises(ValueError, match="^x_star must be finite"):
+            ControlProblem(integrator(), [0.0], [bad], 1.0, 10)
+
 
 class TestEuler:
     def test_uncontrolled_exponential_recursion(self):

@@ -41,6 +41,16 @@ def fd_vjp(model, theta, t, ybar, h=1e-6):
     return out
 
 
+def layer_offsets(model):
+    """[(w_start, w_end, b_start, b_end)] per layer into the flat theta."""
+    out, pos = [], 0
+    for fi, fo, has_b in model.layer_shapes():
+        w1 = pos + fi * fo
+        pos = w1 + (fo if has_b else 0)
+        out.append((w1 - fi * fo, w1, w1, pos))
+    return out
+
+
 class TestActivation:
     def test_values(self):
         z = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
@@ -240,7 +250,7 @@ class TestInit:
     def test_uniform_bounds_fan_in(self):
         model = MlpSpec((50, 50))
         theta = init_params(model, InitScheme.uniform(), SeededRng(0))
-        offs = model._offsets()
+        offs = layer_offsets(model)
         shapes = model.layer_shapes()
         for (fi, fo, _), (w0, w1, _, _) in zip(shapes, offs):
             bound = 1.0 / math.sqrt(fi)
@@ -260,7 +270,7 @@ class TestInit:
         model = MlpSpec((3,))
         scheme = InitScheme.uniform(bias_value=1e-2)
         theta = init_params(model, scheme, SeededRng(4))
-        (w0, w1, b0, b1), _ = model._offsets()
+        (w0, w1, b0, b1), _ = layer_offsets(model)
         np.testing.assert_allclose(theta[b0:b1], 1e-2)
 
     def test_uniform_needs_rng(self):
