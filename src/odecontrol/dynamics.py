@@ -38,8 +38,8 @@ class DivergenceError(RuntimeError):
 
 def frozen_finite(a: np.ndarray, name: str) -> np.ndarray:
     """A read-only copy of a, or a ValueError naming it if an entry is not
-    finite. Rollouts read A, B, x0 and x* on every call (euler_states picks
-    its path from A), so a caller's later write must not reach them."""
+    finite. Rollouts read A, B, x0 and x* on every call, and driftless is
+    decided from A once, so a caller's later write must not reach them."""
     if not np.isfinite(a).all():
         raise ValueError(f"{name} must be finite, got {a.tolist()}")
     a = a.copy()
@@ -48,7 +48,11 @@ def frozen_finite(a: np.ndarray, name: str) -> np.ndarray:
 
 
 class LinearDynamics:
-    """x' = A x + B u, with A and B kept as read-only copies."""
+    """x' = A x + B u, with A and B kept as read-only copies.
+
+    driftless is set when every entry of A is +0 or -0 (x' = B u); the
+    Euler scan and the BPTT adjoint then skip their per-step loops.
+    """
 
     name = "linear"
 
@@ -61,6 +65,7 @@ class LinearDynamics:
             raise DimensionError(
                 f"B needs {self.A.shape[0]} rows to match A, got {self.B.shape}"
             )
+        self.driftless = not self.A.any()
 
     @property
     def n(self) -> int:
@@ -199,10 +204,11 @@ def euler_states(problem: ControlProblem, controls: np.ndarray) -> np.ndarray:
     whose state is not finite; once a state is inf or NaN every later one is
     too, so one check after the scan finds the step a per-step check would.
 
-    When A is zero (not A.any(), so -0 entries count) there is no loop: the
-    steps (B u_k + 0.0) dt are formed in one call, and the + 0.0 is the
-    loop's +0 = A x_k, which turns a -0 product into +0; the states are
-    their in-order prefix sum from x0, np.add.accumulate along time.
+    When the dynamics are driftless (A is zero; -0 entries count) there is
+    no loop: the steps (B u_k + 0.0) dt are formed in one call, and the
+    + 0.0 is the loop's +0 = A x_k, which turns a -0 product into +0; the
+    states are their in-order prefix sum from x0, np.add.accumulate along
+    time.
     """
     dyn = problem.dynamics
     k_steps, dt, a = problem.steps, problem.dt, dyn.A
@@ -212,7 +218,7 @@ def euler_states(problem: ControlProblem, controls: np.ndarray) -> np.ndarray:
     step = np.empty(lead + (dyn.n, 1))
     with np.errstate(over="ignore", invalid="ignore"):
         bu = time_major(controls @ dyn.B.T)[..., None]
-        if not a.any():
+        if dyn.driftless:
             # A x_k is +0 for finite x_k, so step k is (+0 + B u_k) dt, and
             # accumulate adds the steps to x0 in time order
             np.add(bu, 0.0, states[1:])

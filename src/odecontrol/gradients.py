@@ -14,9 +14,10 @@ sensitivity downstream of k'.
 With A = 0 (every entry +0 or -0) and no work cost, the adjoint step
 lambda -> lambda + dt (A^T lambda) maps a finite nonzero lambda to itself,
 +-0 to +0 and +-inf to NaN, and a second application changes no bit. So
-both adjoints take the real step once from lambda_K and reuse its result;
+bptt_grad takes the real step once from lambda_K and reuses its result;
 the step is kept because lambda_K = x_K - x* can overflow to inf. The work
-cost adds a state term per step, so it keeps the loop.
+cost adds a state term per step, so it keeps the loop, and so does
+tbptt_grad's propagated adjoint.
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ def bptt_grad(
         work = (mu * dt * time_major(np.stack([np.zeros_like(u), u], axis=-1)))[:0:-1, ..., None]
     # lambda_k = lambda_{k+1} + dt A^T lambda_{k+1} (+ work), for k = K-1 down to 1
     scan = zip(lams[:0:-1], lams[-2::-1], work)
-    driftless = loss.integrated != "work" and not dyn.A.any()
+    driftless = loss.integrated != "work" and dyn.driftless
     if driftless:  # the step is idempotent: take it once, then copy its result
         scan = islice(scan, 1)
     for lam, lam_prev, w in scan:
@@ -168,7 +169,6 @@ def tbptt_grad(
     sensitivities treated as zero: dt * J_u(t_k')^T B^T (x_K - x*).
     variant "propagated" (default) replaces the frozen cotangent with the true
     adjoint lambda_{k'+1}, so summing over k' = 0..K-1 reproduces bptt_grad.
-    With A = 0 it takes at most one adjoint step (see the module docstring).
     """
     if variant not in ("frozen", "propagated"):
         raise ValueError(f"unknown tbptt variant {variant!r}")
@@ -186,10 +186,7 @@ def tbptt_grad(
     if variant == "propagated":
         a_t = dyn.A.T
         step = np.empty_like(lam)
-        steps = range(k_index + 1, k_steps)
-        if not dyn.A.any():  # the step is idempotent: take it at most once
-            steps = steps[:1]
-        for _ in steps:
+        for _ in range(k_index + 1, k_steps):
             np.matmul(a_t, lam, step)
             step *= dt
             lam += step
