@@ -11,7 +11,12 @@ per-step loop with the same bits. For finite x, np.matmul(A, x) is +0
 there, so step k is (+0 + B u_k) dt, and np.add.accumulate sums the steps
 onto x0 in time order (a pairwise sum would round differently). A state
 that is inf or NaN stays non-finite in every later step on both paths, so
-the one check after the scan names the same first bad step.
+first_nonfinite names the same first bad step.
+
+Divergence is returned, not raised: a run that leaves the finite range
+keeps its inf or NaN states in its own rows, and first_nonfinite finds its
+first bad step. Only integrate_euler, the single-run simulator, raises
+DivergenceError.
 """
 
 from __future__ import annotations
@@ -24,16 +29,11 @@ from .linalg import DimensionError, as_matrix, as_vector, check_count, row_dot
 
 
 class DivergenceError(RuntimeError):
-    """State left the finite range during integration; `step` says where.
+    """integrate_euler's state left the finite range; `step` says where."""
 
-    `steps` holds each run's first non-finite step, -1 for a run that stayed
-    finite (a 0-d array for a single run); `step` is the earliest of them.
-    """
-
-    def __init__(self, step: int, message: str | None = None, steps=None):
-        super().__init__(message or f"trajectory diverged at step {step}")
+    def __init__(self, step: int):
+        super().__init__(f"trajectory diverged at step {step}")
         self.step = int(step)
-        self.steps = np.asarray(self.step if steps is None else steps)
 
 
 def frozen_finite(a: np.ndarray, name: str) -> np.ndarray:
@@ -200,9 +200,8 @@ def euler_states(problem: ControlProblem, controls: np.ndarray) -> np.ndarray:
     buffer (K+1, ..., n, 1) in place, and every A x_k is the stacked matvec
     np.matmul(A, x_k): numpy makes one BLAS call per run with the same
     arguments as a single run's A @ x_k, so each run's states equal its own
-    scan bit for bit. Raises DivergenceError naming each run's first step
-    whose state is not finite; once a state is inf or NaN every later one is
-    too, so one check after the scan finds the step a per-step check would.
+    scan bit for bit. A run whose state leaves the finite range keeps its
+    inf and NaN rows; first_nonfinite names its first bad step.
 
     When the dynamics are driftless (A is zero; -0 entries count) there is
     no loop: the steps (B u_k + 0.0) dt are formed in one call, and the
@@ -223,26 +222,25 @@ def euler_states(problem: ControlProblem, controls: np.ndarray) -> np.ndarray:
             # accumulate adds the steps to x0 in time order
             np.add(bu, 0.0, states[1:])
             states[1:] *= dt
-            return _run_major_finite(np.add.accumulate(states, axis=0, out=states))
-        x = states[0]
-        for bu_k, x_next in zip(bu, states[1:]):
-            np.matmul(a, x, step)
-            step += bu_k
-            step *= dt
-            x = np.add(x, step, x_next)
-    return _run_major_finite(states)
-
-
-def _run_major_finite(states: np.ndarray) -> np.ndarray:
-    """The (..., K+1, n) states of a (K+1, ..., n, 1) scan buffer, or
-    DivergenceError naming each run's first step that is not finite."""
-    bad = ~np.isfinite(states[1:]).all(axis=(-2, -1))
-    if bad.any():
-        first = np.where(bad.any(axis=0), bad.argmax(axis=0), -1)
-        raise DivergenceError(first[first >= 0].min(), steps=first)
+            np.add.accumulate(states, axis=0, out=states)
+        else:
+            x = states[0]
+            for bu_k, x_next in zip(bu, states[1:]):
+                np.matmul(a, x, step)
+                step += bu_k
+                step *= dt
+                x = np.add(x, step, x_next)
     # a single run's (K+1, n) view is contiguous already; a population's
     # copy lays each run out as a single run's states are
     return np.ascontiguousarray(run_major(states[..., 0]))
+
+
+def first_nonfinite(states: np.ndarray) -> np.ndarray:
+    """Each run's first Euler step whose state is not finite, or -1 for a run
+    that stayed finite: an int array over the run axes of (..., K+1, n)
+    states, 0-d for one run. Step k is the one that makes x_{k+1}."""
+    bad = ~np.isfinite(states[..., 1:, :]).all(axis=-1)
+    return np.where(bad.any(axis=-1), bad.argmax(axis=-1), -1)
 
 
 def time_major(a: np.ndarray) -> np.ndarray:
@@ -262,9 +260,9 @@ def integrate_euler(problem: ControlProblem, controller) -> Trajectory:
 
     controller is a callable t -> (m,) control vector, which is sampled at
     t_0..t_{K-1} before the scan, or those K controls already sampled as a
-    (K, m) array (for a network, one forward_batch call; see rollout). The
-    scan is euler_states, which raises DivergenceError carrying the first
-    step whose state is not finite.
+    (K, m) array. The scan is euler_states; this is the one place that
+    raises DivergenceError, carrying the first step whose state is not
+    finite (see first_nonfinite).
     """
     dyn = problem.dynamics
     k_steps = problem.steps
@@ -275,15 +273,18 @@ def integrate_euler(problem: ControlProblem, controller) -> Trajectory:
     controls = np.array(controller, dtype=np.float64)
     if controls.shape != (k_steps, m):
         raise DimensionError(f"controls must have shape ({k_steps}, {m}), got {controls.shape}")
-    return Trajectory(times, euler_states(problem, controls), controls, dynamics=dyn)
+    states = euler_states(problem, controls)
+    step = first_nonfinite(states)
+    if step >= 0:
+        raise DivergenceError(step)
+    return Trajectory(times, states, controls, dynamics=dyn)
 
 
 def rollout(problem: ControlProblem, model, theta) -> Trajectory:
     """Euler trajectory of a controller at theta, sampled once with
-    forward_batch; a (..., P) theta gives the population's trajectory."""
+    forward_batch; a (..., P) theta gives the population's trajectory. A run
+    that diverges keeps its non-finite states (see first_nonfinite)."""
     controls = model.forward_batch(theta, problem.times()[:-1])
-    if controls.ndim == 2:
-        return integrate_euler(problem, controls)
     return Trajectory(problem.times(), euler_states(problem, controls), controls,
                       dynamics=problem.dynamics)
 

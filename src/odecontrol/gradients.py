@@ -18,6 +18,10 @@ bptt_grad takes the real step once from lambda_K and reuses its result;
 the step is kept because lambda_K = x_K - x* can overflow to inf. The work
 cost adds a state term per step, so it keeps the loop, and so does
 tbptt_grad's propagated adjoint.
+
+Nothing here raises on divergence: a diverging run's loss, states and
+gradient come back non-finite in its own row, and its pullback still runs
+and is counted.
 """
 
 from __future__ import annotations

@@ -3,10 +3,12 @@ trained parameter vector.
 
 theta = theta* + alpha*delta + beta*d2 with delta, d2 drawn i.i.d. standard
 normal per coordinate. Directions are stored on the spec so any grid can be
-reproduced bit for bit; cells that blow up the integrator are recorded as
-NaN rather than aborting the grid. The grid is evaluated in blocks of cells,
-each block one population of runs (one forward_batch per time grid and one
-Euler scan), so every cell equals its own single-run evaluation bit for bit.
+reproduced bit for bit. The grid is evaluated in blocks of cells, each
+block one population of runs (one rollout and one forward_batch on the MSE
+grid), so every cell equals its own single-run evaluation bit for bit.
+Nothing here raises on divergence: a diverged cell's rollout row is
+non-finite, so the cell is recorded as NaN and the rest of its block is
+kept.
 """
 
 from __future__ import annotations
@@ -18,12 +20,10 @@ import numpy as np
 
 from .dynamics import (
     ControlProblem,
-    DivergenceError,
-    Trajectory,
     control_energy,
-    euler_states,
     mse_control,
     mse_times,
+    rollout,
     sample_control,
     terminal_loss,
 )
@@ -127,28 +127,17 @@ def _project_block(spec, problem, model, ts, us, cells) -> np.ndarray:
     """(loss, control MSE, energy) rows for a (C, 2) block of (alpha, beta)
     cells, evaluated as one population of C runs.
 
-    A run whose scan leaves the finite range is dropped and the survivors
-    are scanned again; a cell with any non-finite value is NaN in all three.
+    A cell with any non-finite value, a diverged scan included, is NaN in
+    all three.
     """
-    out = np.full((len(cells), 3), np.nan)
+    out = np.empty((len(cells), 3))
     theta = spec.theta_at(cells[:, 0], cells[:, 1])
-    live = np.arange(len(cells))
     # overflow on a blown-up cell is routine; it ends up NaN
     with np.errstate(over="ignore", invalid="ignore"):
-        controls = model.forward_batch(theta, problem.times()[:-1])
-        u_hat = model.forward_batch(theta, ts)
-        while True:
-            try:
-                states = euler_states(problem, controls[live])
-                break
-            except DivergenceError as err:
-                live = live[err.steps < 0]
-            if not live.size:
-                return out
-        traj = Trajectory(problem.times(), states, controls[live], dynamics=problem.dynamics)
-        out[live, 0] = terminal_loss(traj, problem.x_star)
-        out[live, 1] = mse_control(u_hat[live], us, ts.shape[0], problem.T)
-        out[live, 2] = control_energy(traj)
+        traj = rollout(problem, model, theta)
+        out[:, 0] = terminal_loss(traj, problem.x_star)
+        out[:, 1] = mse_control(model.forward_batch(theta, ts), us, ts.shape[0], problem.T)
+        out[:, 2] = control_energy(traj)
     out[~np.isfinite(out).all(axis=1)] = np.nan
     return out
 

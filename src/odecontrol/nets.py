@@ -403,12 +403,26 @@ def theta_to_json(model, theta) -> str:
 
 
 def theta_from_json(doc: str, model=None) -> np.ndarray:
-    """Parse a theta document, validating layout consistency and length."""
+    """Parse a theta document, validating layout consistency and length.
+
+    Every layout entry must be a JSON integer (true and 1.7 are not) and
+    every theta entry a finite float; json reads NaN, Infinity and integers
+    of any size, so all are checked here.
+    """
     data = json.loads(doc)
     if not isinstance(data, dict) or "layout" not in data or "theta" not in data:
         raise ValueError("theta document needs 'layout' and 'theta' fields")
-    layout = [tuple(int(v) for v in row) for row in data["layout"]]
-    theta = np.asarray(data["theta"], dtype=np.float64)
+    for row in data["layout"]:
+        if not all(type(v) is int for v in row):
+            raise ValueError(f"layout entries must be integers, got {row}")
+    layout = [tuple(row) for row in data["layout"]]
+    try:
+        theta = np.asarray(data["theta"], dtype=np.float64)
+    except OverflowError:  # an integer literal beyond the float range
+        raise ValueError("theta must be finite, got an integer beyond the float range") from None
+    bad = np.flatnonzero(~np.isfinite(theta))
+    if bad.size:
+        raise ValueError(f"theta must be finite, entry {bad[0]} is {theta.flat[bad[0]]}")
     expected = sum(fi * fo + (fo if b else 0) for fi, fo, b in layout)
     if theta.ndim != 1 or theta.shape[0] != expected:
         raise ValueError(

@@ -7,6 +7,10 @@ iterate. With a fixed seed every run is bit-reproducible: the only random
 draw is the truncation index of the random TBPTT schedule. train_runs runs
 the loop over a population of runs, each bit-equal to its own train call;
 train is the one-run case.
+
+Nothing here raises on divergence: a diverged run's states come back
+non-finite in its own row, and the loop stops that run and goes on with the
+others' rows of the same pass, so every epoch is one gradient call.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import ControlProblem, DivergenceError, Trajectory, control_energy
+from .dynamics import ControlProblem, Trajectory, control_energy, first_nonfinite
 from .gradients import LossSpec, bptt_grad, tbptt_grad
 from .linalg import DimensionError, SeededRng, check_count, row_dot
 from .nets import MlpSpec
@@ -300,37 +304,36 @@ def train_runs(
             k_index = rng.integers(0, problem.steps)
         else:
             k_index = epoch % problem.steps
-        res = None
-        while res is None and live.size:
-            # a single live run goes through the gradient layers without a run axis
-            th = theta[0] if live.size == 1 else theta
-            try:
-                # overflow on a diverging iterate is routine; the integrator
-                # raises DivergenceError on non-finite states
-                with np.errstate(over="ignore", invalid="ignore"):
-                    if protocol.kind == "bptt":
-                        res = bptt_grad(problem, model, th, loss)
-                    else:
-                        res = tbptt_grad(problem, model, th, k_index, protocol.variant)
-            except DivergenceError as err:
-                # the diverged runs stop at this iterate, which is not recorded
-                # (their history holds epochs 0..n-1); the others go again
-                steps = err.steps.reshape(-1)
-                bad = steps >= 0
-                diverged_at[live[bad]] = epoch
-                diverged_step[live[bad]] = steps[bad]
-                for done, row in zip(final, best + [theta]):
-                    done[live[bad]] = row[bad]
-                live, theta = live[~bad], theta[~bad]
-                best = [row[~bad] for row in best]
-                if adam_state is not None:
-                    adam_state = AdamState(adam_state.m[~bad], adam_state.v[~bad], adam_state.t)
-        if res is None:
-            break
+        # a single live run goes through the gradient layers without a run axis
+        th = theta[0] if live.size == 1 else theta
+        # overflow on a diverging iterate is routine; its loss, states and
+        # gradient come back non-finite in its own row (loss_n is a float for
+        # a single run, else one value per run)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if protocol.kind == "bptt":
+                grad, loss_n, traj = bptt_grad(problem, model, th, loss)
+            else:
+                grad, loss_n, traj = tbptt_grad(problem, model, th, k_index, protocol.variant)
+        steps = first_nonfinite(traj.states).reshape(-1)
+        bad = steps >= 0
+        if bad.any():
+            # the diverged runs stop at this iterate, which is not recorded
+            # (their history holds epochs 0..n-1); the others go on with
+            # their rows of this pass
+            diverged_at[live[bad]] = epoch
+            diverged_step[live[bad]] = steps[bad]
+            for done, row in zip(final, best + [theta]):
+                done[live[bad]] = row[bad]
+            live, theta = live[~bad], theta[~bad]
+            best = [row[~bad] for row in best]
+            if not live.size:
+                break
+            if adam_state is not None:
+                adam_state = AdamState(adam_state.m[~bad], adam_state.v[~bad], adam_state.t)
+            grad, loss_n = grad[~bad], loss_n[~bad]
+            traj = Trajectory(traj.times, traj.states[~bad], traj.controls[~bad], dynamics=dyn)
 
-        grad = res.grad.reshape(theta.shape)
-        traj = res.trajectory
-        loss_n = res.loss  # a float for a single run, else one value per run
+        grad = grad.reshape(theta.shape)
         loss_best, best_epoch, theta_best, best_states, best_controls = best
         states = traj.states.reshape(best_states.shape)
         controls = traj.controls.reshape(best_controls.shape)
@@ -345,7 +348,7 @@ def train_runs(
         np.copyto(best_controls, controls, where=improved[:, None, None])
 
         # same guard as the gradient pass: the step itself can overflow on an
-        # iterate that is about to be flagged by the integrator
+        # iterate whose next pass diverges
         with np.errstate(over="ignore", invalid="ignore"):
             energy_n = control_energy(traj)
             gnorm = np.sqrt(row_dot(grad, grad))

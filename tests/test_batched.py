@@ -28,12 +28,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odecontrol import dynamics
+from odecontrol import dynamics, training
 from odecontrol.dynamics import (
     ControlProblem,
     DivergenceError,
     LinearDynamics,
     MovingParticleDynamics,
+    euler_states,
+    first_nonfinite,
     integrate_euler,
     rollout,
     run_major,
@@ -318,9 +320,10 @@ class TestSmallControllersBatched:
 
 
 def check_scan_against_reference(problem, u):
-    """integrate_euler against ref_euler: the same first bad step, and the
-    same bytes at m = 1."""
+    """integrate_euler and first_nonfinite against ref_euler: the same first
+    bad step, and the same bytes at m = 1."""
     want, step = ref_euler(problem, u)
+    assert first_nonfinite(euler_states(problem, u)) == (-1 if step is None else step)
     try:
         got = integrate_euler(problem, u).states
     except DivergenceError as err:
@@ -565,6 +568,14 @@ class TestStackedMatvecInvariant:
 
 
 SMALL_MODELS = [SingleNeuron(act) for act in ACTIVATIONS] + [ConstantControl()]
+# thetas whose runs under Sd(60) stop at different epochs while others finish
+DIVERGE_ALONE = np.array([[1.0, 0.5], [1e100, 1.0], [1e200, -1e150], [0.3, 0.2],
+                          [1e250, 1e250]])
+EPOCHS_DIFFER = np.array([[1.0, 0.5], [1e100, 1.0], [1e200, -1e150], [1e250, 1e250]])
+
+
+def model_id(model):
+    return getattr(getattr(model, "activation", None), "kind", "constant")
 
 
 def assert_same_result(got, want):
@@ -629,19 +640,57 @@ class TestPopulationTraining:
         check_population(*case, epochs=30)
 
     @pytest.mark.parametrize("name", sorted(PROBLEMS))
-    @pytest.mark.parametrize("model", SMALL_MODELS, ids=lambda m: getattr(
-        getattr(m, "activation", None), "kind", "constant"))
+    @pytest.mark.parametrize("model", SMALL_MODELS, ids=model_id)
     def test_runs_diverge_alone(self, name, model):
-        thetas = np.array([[1.0, 0.5], [1e100, 1.0], [1e200, -1e150], [0.3, 0.2],
-                           [1e250, 1e250]])[:, :model.n_params]
+        thetas = DIVERGE_ALONE[:, :model.n_params]
         want = check_population(PROBLEMS[name](20), model, thetas, Sd(60.0), 60)
         stops = {w.diverged_at for w in want if w.diverged}
         assert len(stops) >= 1 and any(not w.diverged for w in want)
 
+    @pytest.mark.parametrize("name", sorted(PROBLEMS))
+    @pytest.mark.parametrize("model", SMALL_MODELS, ids=model_id)
+    def test_diverged_rows_are_returned(self, name, model):
+        # the iterates at which test_runs_diverge_alone's runs stopped (or
+        # finished): rollout and bptt_grad return the diverged rows as
+        # non-finite states, and every finite row is that run's own call
+        problem = PROBLEMS[name](20)
+        with np.errstate(over="ignore", invalid="ignore"):
+            runs = train_runs(problem, model, DIVERGE_ALONE[:, :model.n_params], Sd(60.0), 60)
+            thetas = np.array([r.theta_final for r in runs])
+            traj = rollout(problem, model, thetas)
+            res = bptt_grad(problem, model, thetas)
+            steps = first_nonfinite(traj.states)
+            assert steps.tolist() == [-1 if r.diverged_step is None else r.diverged_step
+                                      for r in runs]
+            assert (steps >= 0).any() and (steps < 0).any()
+            assert np.array_equal(first_nonfinite(res.trajectory.states), steps)
+            for r in np.flatnonzero(steps < 0):
+                one = rollout(problem, model, thetas[r])
+                one_res = bptt_grad(problem, model, thetas[r])
+                assert traj.states[r].tobytes() == one.states.tobytes()
+                assert traj.controls[r].tobytes() == one.controls.tobytes()
+                assert res.grad[r].tobytes() == one_res.grad.tobytes()
+                assert res.loss[r] == one_res.loss
+
     def test_divergence_epochs_differ(self):
-        thetas = np.array([[1.0, 0.5], [1e100, 1.0], [1e200, -1e150], [1e250, 1e250]])
-        want = check_population(flow2d_problem(25), SingleNeuron(RELU), thetas, Sd(60.0), 60)
+        want = check_population(flow2d_problem(25), SingleNeuron(RELU), EPOCHS_DIFFER,
+                                Sd(60.0), 60)
         assert [w.diverged_at for w in want] == [None, None, 48, 26]
+
+    def test_one_gradient_call_per_epoch(self, monkeypatch):
+        # the runs of test_divergence_epochs_differ stop at epochs 48 and 26,
+        # and each epoch, those two included, is one bptt_grad call
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return bptt_grad(*args)
+
+        monkeypatch.setattr(training, "bptt_grad", counted)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = train_runs(flow2d_problem(25), SingleNeuron(RELU), EPOCHS_DIFFER, Sd(60.0), 60)
+        assert [g.diverged_at for g in got] == [None, None, 48, 26]
+        assert len(calls) == 60
 
     @pytest.mark.parametrize("loss", [LossSpec.energy(0.5), LossSpec.work(0.2)])
     def test_integrated_costs(self, loss):

@@ -66,6 +66,22 @@ MUSWEEP_DOC = {"mus": [0.001], "epochs": 2, "steps": 20}
 COMPARE_DOC = {"hidden": [3], "epochs": 4, "timing_epochs": 2, "steps": 30}
 
 
+# theta files that test_config_command writes into its working directory:
+# json reads NaN and Infinity, and int() would read 1.7 and true as 1
+BAD_THETA_FILES = {
+    "theta-nan.json": '{"layout": [[1, 1, 1], [1, 1, 1]], "theta": [NaN, 0, 0, 0]}',
+    "theta-inf.json": '{"layout": [[1, 1, 1], [1, 1, 1]], "theta": [1e308, Infinity, 0, 0]}',
+    "theta-float-layout.json": '{"layout": [[1.7, 1, 1], [1, 1, 1]], "theta": [0, 0, 0, 0]}',
+    "theta-bool-layout.json": '{"layout": [[1, 1, true], [1, 1, 1]], "theta": [0, 0, 0, 0]}',
+}
+
+
+def around_theta_file(name):
+    """PROJECT_DOC for a one-neuron net around the θ in theta file `name`."""
+    doc = {k: v for k, v in PROJECT_DOC.items() if k != "training"}
+    return edited(doc, network={"hidden": [1]}, projection__theta_file=name)
+
+
 def write_json(path, doc) -> str:
     path.write_text(json.dumps(doc))
     return str(path)
@@ -478,6 +494,10 @@ class TestConfigErrorsExit2:
         ("project", edited(PROJECT_DOC, projection__samples=0), "projection.samples"),
         ("phase", edited(PHASE_DOC, horizon=0.0), "horizon"),
         ("phase", edited(PHASE_DOC, method="train_adam", horizon=-1.0), "horizon"),
+        ("project", around_theta_file("theta-nan.json"), "projection.theta_file"),
+        ("project", around_theta_file("theta-inf.json"), "projection.theta_file"),
+        ("project", around_theta_file("theta-float-layout.json"), "projection.theta_file"),
+        ("project", around_theta_file("theta-bool-layout.json"), "projection.theta_file"),
     ], ids=["epochs-0", "eta-negative", "steps-0", "horizon-0", "hidden-width-0",
             "mu-negative", "phase-axis-count-1", "project-axis-count-2", "eta-nan",
             "eta-beyond-float", "x-star-inf", "linear-a-nan", "activation-typo",
@@ -487,8 +507,12 @@ class TestConfigErrorsExit2:
             "sweep-epochs-0", "sweep-layer-deeper-than-max-neurons", "sweep-steps-0",
             "phase-train-adam-eta-negative", "phase-train-adam-steps-0",
             "phase-map-eta-negative", "phase-map-epochs-0", "project-samples-0",
-            "phase-horizon-0", "phase-horizon-negative"])
-    def test_config_command(self, tmp_path, capsys, command, doc, where):
+            "phase-horizon-0", "phase-horizon-negative", "theta-file-nan",
+            "theta-file-infinity", "theta-file-layout-1.7", "theta-file-layout-true"])
+    def test_config_command(self, tmp_path, capsys, monkeypatch, command, doc, where):
+        monkeypatch.chdir(tmp_path)
+        for name, text in BAD_THETA_FILES.items():
+            (tmp_path / name).write_text(text)
         cfg = write_json(tmp_path / "cfg.json", doc)
         outdir = tmp_path / "out"
         assert main([command, "--config", cfg, "--out", str(outdir)]) == 2

@@ -301,6 +301,22 @@ class TestThetaJson:
         with pytest.raises(ValueError):
             theta_from_json('{"layout": [[1, 2, 1]], "theta": [0.0]}')
 
+    @pytest.mark.parametrize("layout, theta, match", [
+        ("[[1, 1, 1], [1, 1, 1]]", "[NaN, 0, 0, 0]", "entry 0 is nan"),
+        ("[[1, 1, 1], [1, 1, 1]]", "[1e308, Infinity, 0, 0]", "entry 1 is inf"),
+        ("[[1, 1, 1], [1, 1, 1]]", "[0, 0, 0, -Infinity]", "entry 3 is -inf"),
+        ("[[1, 1, 1], [1, 1, 1]]", f"[0, 0, 0, {10**400}]", "beyond the float range"),
+        ("[[1.7, 1, 1], [1, 1, 1]]", "[0, 0, 0, 0]", "integers"),
+        ("[[1, 1, true], [1, 1, 1]]", "[0, 0, 0, 0]", "integers"),
+        ("[[1, 1, 1], [1, 1.0, 1]]", "[0, 0, 0, 0]", "integers"),
+    ])
+    def test_non_finite_theta_and_non_integer_layout_rejected(self, layout, theta, match):
+        # json reads NaN, Infinity and integers of any size, and int() would
+        # turn 1.7 and true into 1
+        doc = f'{{"layout": {layout}, "theta": {theta}}}'
+        with pytest.raises(ValueError, match=match):
+            theta_from_json(doc, MlpSpec((1,)))
+
     def test_model_pickles(self):
         model = MlpSpec((4, 4), activation=elu())
         clone = pickle.loads(pickle.dumps(model))

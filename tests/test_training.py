@@ -162,7 +162,8 @@ class TestTrainLoop:
         # theta_final is the iterate whose gradient pass diverged
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError) as info:
-                rollout(problem, model, res.theta_final)
+                integrate_euler(problem, model.forward_batch(res.theta_final,
+                                                             problem.times()[:-1]))
         assert info.value.step == res.diverged_step
 
     def test_finished_run_has_no_divergence_step(self):
