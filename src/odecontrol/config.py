@@ -55,14 +55,16 @@ class ConfigError(ValueError):
 
 @contextmanager
 def section(path: str):
-    """Report a ValueError the library raises inside the block as a
-    ConfigError at path."""
+    """Report a ValueError or OverflowError the library raises inside the
+    block as a ConfigError at path."""
     try:
         yield
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from None
+    except OverflowError as exc:  # e.g. math.exp in a closed-form oracle
+        raise ConfigError(path, f"a value overflows the float range: {exc}") from None
 
 
 def _check(path: str, check, *args) -> None:

@@ -4,15 +4,19 @@ sweeps, and the depth scan on the particle benchmark.
 
 Every sweep cell gets its own deterministic seed derived from the base seed
 and the cell coordinates, so any cell can be rerun standalone and match the
-grid bit for bit. Experiments return plain result objects with to_csv /
-manifest helpers; file layout is the caller's business.
+grid bit for bit. Every trained run is scored one way, by best_metrics on
+its best model; a run that diverged in epoch 0 has no best model and scores
+NaN with its diverged flag set. Experiments return plain result objects
+whose CSV text comes from csv_text and whose manifests are plain dicts;
+file layout is the caller's business. Grids that may run in a process pool
+go through pool.map_cells.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from itertools import repeat
+from dataclasses import astuple, dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -42,7 +46,7 @@ from .nets import (
     leaky_relu,
 )
 from .oracles import linear_nd_oc, linear_neuron_map, moving_particle_oc, relu_neuron_map
-from .pool import cell_pool, thread_record
+from .pool import map_cells
 from .training import Adam, Protocol, Sd, TrainResult, check_eta, train, train_runs
 
 
@@ -71,6 +75,47 @@ def cell_seed(base_seed: int, i: int, j: int = 0) -> int:
     """Deterministic seed for grid cell (i, j) under base_seed."""
     h = (int(base_seed) + 1) * 2654435761 + (i + 1) * 40503 + (j + 1) * 69069
     return int(h % 2147483647)
+
+
+def best_metrics(problem: ControlProblem, model, res: TrainResult, u_star=None) -> dict:
+    """Scores of a run's best model: the terminal loss, energy, mean_u and
+    var_u of res.trajectory_best, its work on the moving particle, and, when
+    u_star (a callable t -> control) is given, the control MSE of the model
+    at res.theta_best on the problem's time grid.
+
+    With no best model (epoch 0 diverged) every score is NaN. diverged is
+    set then, when the run diverged, or when a score is not finite.
+    """
+    traj = res.trajectory_best
+    scores = {
+        "loss": lambda: terminal_loss(traj, problem.x_star),
+        "energy": lambda: control_energy(traj),
+        "mean_u": lambda: float(np.mean(traj.controls.ravel())),
+        "var_u": lambda: float(np.var(traj.controls.ravel())),
+    }
+    if isinstance(problem.dynamics, MovingParticleDynamics):
+        scores["work"] = lambda: work_functional(traj)
+    if u_star is not None:
+        ts = mse_times(problem.steps, problem.T)
+        scores["mse_u"] = lambda: mse_control(model.forward_batch(res.theta_best, ts),
+                                              u_star, problem.steps, problem.T)
+    out = {name: float("nan") if traj is None else score() for name, score in scores.items()}
+    out["diverged"] = bool(res.diverged or not all(np.isfinite(v) for v in out.values()))
+    return out
+
+
+def csv_text(header, rows) -> str:
+    """CSV text of a header and rows: floats (np.float64 included) written as
+    repr(float(v)), flags as 0/1, anything else by str."""
+    def text(v) -> str:
+        if isinstance(v, (bool, np.bool_)):
+            return str(int(v))
+        if isinstance(v, (float, np.floating)):
+            return repr(float(v))
+        return str(v)
+
+    lines = [",".join(header)] + [",".join(map(text, row)) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -123,12 +168,9 @@ class PhaseResult:
     mse: np.ndarray  # shape (grid.x.count, grid.y.count)
 
     def to_csv(self) -> str:
-        ws, bs = self.grid.x.values(), self.grid.y.values()
-        lines = [f"{self.grid.x.name},{self.grid.y.name},mse"]
-        for i, w in enumerate(ws):
-            for j, b in enumerate(bs):
-                lines.append(f"{float(w)!r},{float(b)!r},{float(self.mse[i, j])!r}")
-        return "\n".join(lines) + "\n"
+        ws, bs = np.meshgrid(self.grid.x.values(), self.grid.y.values(), indexing="ij")
+        return csv_text((self.grid.x.name, self.grid.y.name, "mse"),
+                        zip(ws.ravel(), bs.ravel(), self.mse.ravel()))
 
     def manifest(self) -> dict:
         doc = {
@@ -153,6 +195,19 @@ def _phase_mse(kind: str, w: float, b: float, bstar: float) -> float:
     if kind == "relu":
         return 0.5 * (max(w, 0.0) ** 2 + (b - bstar) ** 2)
     return 0.5 * (w ** 2 + (b - bstar) ** 2)
+
+
+def _map_final(kind: str, starts, eta: float, epochs: int, horizon: float, x0: float,
+               xstar: float) -> list[tuple[float, float]]:
+    """Iterate the exact gradient-descent map of the single neuron `epochs`
+    times from each (w0, b0) start; returns each final (w, b)."""
+    step = linear_neuron_map if kind == "linear" else relu_neuron_map
+    finals = []
+    for w, b in starts:
+        for _ in range(epochs):
+            w, b = step(w, b, eta, horizon, x0, xstar)
+        finals.append((w, b))
+    return finals
 
 
 def _phase_train(kind: str, thetas: np.ndarray, eta: float, epochs: int, horizon: float,
@@ -197,12 +252,7 @@ def phase_diagram(
     starts = np.stack(np.meshgrid(grid.x.values(), grid.y.values(), indexing="ij"),
                       axis=-1).reshape(-1, 2)
     if method == "map":
-        step = linear_neuron_map if kind == "linear" else relu_neuron_map
-        finals = []
-        for w, b in starts.tolist():
-            for _ in range(epochs):
-                w, b = step(w, b, eta, horizon, x0, xstar)
-            finals.append((w, b))
+        finals = _map_final(kind, starts.tolist(), eta, epochs, horizon, x0, xstar)
     else:
         finals = _phase_train(kind, starts, eta, epochs, horizon, x0, xstar, steps)
     out = np.array([_phase_mse(kind, w, b, bstar) for w, b in finals])
@@ -243,14 +293,10 @@ def phase_spot_check(
             # fixed line of the gradient flow: T^2/2 w + T b + x0 - x* = 0
             r = 0.5 * horizon ** 2 * w + horizon * b + x0 - xstar
             dist = abs(r) / np.hypot(0.5 * horizon ** 2, horizon)
-        row = {"w0": w0, "b0": b0, "w": w, "b": b, "attractor_dist": float(dist)}
-        if optimizer == "sd":
-            wm, bm = w0, b0
-            step = linear_neuron_map if kind == "linear" else relu_neuron_map
-            for _ in range(epochs):
-                wm, bm = step(wm, bm, eta, horizon, x0, xstar)
+        rows.append({"w0": w0, "b0": b0, "w": w, "b": b, "attractor_dist": float(dist)})
+    if optimizer == "sd":
+        for row, (wm, bm) in zip(rows, _map_final(kind, starts, eta, epochs, horizon, x0, xstar)):
             row["map_w"], row["map_b"] = wm, bm
-        rows.append(row)
     return rows
 
 
@@ -369,34 +415,21 @@ def run_sweep_cell(cfg: SweepConfig, layers: int, max_neurons: int, seed: int) -
     )
     theta0 = init_params(model, cfg.init, SeededRng(seed))
     res = train(cfg.problem, model, theta0, cfg.optimizer, cfg.epochs)
-    traj = res.trajectory_best
-    energy = loss = mean_u = var_u = float("nan")  # no best model if epoch 0 diverged
-    if traj is not None:
-        u = traj.controls.ravel()
-        energy = control_energy(traj)
-        loss = terminal_loss(traj, cfg.problem.x_star)
-        mean_u = float(np.mean(u))
-        var_u = float(np.var(u))
-    finite = all(np.isfinite(v) for v in (energy, loss, mean_u, var_u))
-    return SweepCellResult(
-        layers=layers,
-        max_neurons=max_neurons,
-        width=width,
-        seed=seed,
-        energy=energy,
-        loss=loss,
-        mean_u=mean_u,
-        var_u=var_u,
-        epochs_run=len(res.history.loss),
-        diverged=res.diverged or not finite,
-    )
+    m = best_metrics(cfg.problem, model, res)
+    return SweepCellResult(layers, max_neurons, width, seed, m["energy"], m["loss"],
+                           m["mean_u"], m["var_u"], len(res.history.loss), m["diverged"])
+
+
+def _grid_cell(cfg: SweepConfig, cell: tuple[int, int, int]) -> SweepCellResult:
+    """run_sweep_cell on one (layers, max_neurons, seed) item of map_cells."""
+    return run_sweep_cell(cfg, *cell)
 
 
 @dataclass(frozen=True)
 class SweepResult:
     config: SweepConfig
     cells: tuple[SweepCellResult, ...]  # row-major over (layers, max_neurons)
-    blas_threads: dict  # see pool.thread_record
+    blas_threads: dict  # see pool.map_cells
 
     def cell(self, layers: int, max_neurons: int) -> SweepCellResult:
         i = self.config.layers.index(layers)
@@ -407,13 +440,7 @@ class SweepResult:
         return [c for c in self.cells if c.layers == layers]
 
     def to_csv(self) -> str:
-        lines = ["layers,max_neurons,width,seed,energy,loss,mean_u,var_u,epochs_run,diverged"]
-        for c in self.cells:
-            lines.append(
-                f"{c.layers},{c.max_neurons},{c.width},{c.seed},{c.energy!r},"
-                f"{c.loss!r},{c.mean_u!r},{c.var_u!r},{c.epochs_run},{int(c.diverged)}"
-            )
-        return "\n".join(lines) + "\n"
+        return csv_text([f.name for f in fields(SweepCellResult)], map(astuple, self.cells))
 
     def manifest(self) -> dict:
         cfg = self.config
@@ -443,23 +470,16 @@ def depth_width_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
     """Train every (layers, max_neurons) cell of the grid.
 
     Cells are independent; workers > 1 runs them in a process pool whose
-    workers run BLAS on one thread (see pool.cell_pool). Results
-    are stored row-major over (layers, max_neurons) regardless of completion
-    order. A diverged cell is flagged and the sweep continues.
+    workers run BLAS on one thread (see pool.map_cells). Results are stored
+    row-major over (layers, max_neurons) regardless of completion order. A
+    diverged cell is flagged and the sweep continues.
     """
     cfg.check()
-    layers, max_neurons, seeds = zip(*(
-        (L, N, cell_seed(cfg.base_seed, i, j))
-        for i, L in enumerate(cfg.layers)
-        for j, N in enumerate(cfg.max_neurons)
-    ))
-    args = (repeat(cfg), layers, max_neurons, seeds)
-    if workers > 1:
-        with cell_pool(workers) as pool:
-            cells = list(pool.map(run_sweep_cell, *args, chunksize=1))
-    else:
-        cells = list(map(run_sweep_cell, *args))
-    return SweepResult(config=cfg, cells=tuple(cells), blas_threads=thread_record(workers))
+    coords = [(L, N, cell_seed(cfg.base_seed, i, j))
+              for i, L in enumerate(cfg.layers)
+              for j, N in enumerate(cfg.max_neurons)]
+    cells, threads = map_cells(partial(_grid_cell, cfg), coords, workers)
+    return SweepResult(config=cfg, cells=tuple(cells), blas_threads=threads)
 
 
 def _init_manifest(init: InitScheme) -> dict:
@@ -498,6 +518,8 @@ class ProtocolComparison:
     tbptt_vjps_per_epoch: float
     bptt_seconds_per_epoch: float
     tbptt_seconds_per_epoch: float
+    bptt_energy: float  # of the best model; NaN if epoch 0 diverged
+    tbptt_energy: float
     energy_star: float
 
     @property
@@ -507,14 +529,6 @@ class ProtocolComparison:
     @property
     def tbptt_loss(self) -> float:
         return self.tbptt.loss_best
-
-    @property
-    def bptt_energy(self) -> float:
-        return control_energy(self.bptt.trajectory_best)
-
-    @property
-    def tbptt_energy(self) -> float:
-        return control_energy(self.tbptt.trajectory_best)
 
     def summary(self) -> dict:
         return {
@@ -597,6 +611,8 @@ def protocol_comparison(
         tbptt_vjps_per_epoch=vjps_t,
         bptt_seconds_per_epoch=sec_b,
         tbptt_seconds_per_epoch=sec_t,
+        bptt_energy=best_metrics(problem, model, res_b)["energy"],
+        tbptt_energy=best_metrics(problem, model, res_t)["energy"],
         energy_star=estar,
     )
 
@@ -622,10 +638,7 @@ class MuSweepResult:
     steps: int
 
     def to_csv(self) -> str:
-        lines = ["mu,loss,work,energy,diverged"]
-        for p in self.points:
-            lines.append(f"{p.mu!r},{p.loss!r},{p.work!r},{p.energy!r},{int(p.diverged)}")
-        return "\n".join(lines) + "\n"
+        return csv_text([f.name for f in fields(MuSweepPoint)], map(astuple, self.points))
 
     def manifest(self) -> dict:
         return {
@@ -672,12 +685,8 @@ def mu_sweep(
     points = []
     for mu, loss_spec in zip(mus, losses):
         res = train(problem, model, theta0, opt, epochs, loss=loss_spec)
-        traj = res.trajectory_best
-        loss = terminal_loss(traj, problem.x_star)
-        w = work_functional(traj)
-        e = control_energy(traj)
-        finite = all(np.isfinite(v) for v in (loss, w, e))
-        points.append(MuSweepPoint(mu, loss, w, e, diverged=res.diverged or not finite))
+        m = best_metrics(problem, model, res)
+        points.append(MuSweepPoint(mu, m["loss"], m["work"], m["energy"], m["diverged"]))
     return MuSweepResult(tuple(points), seed=seed, epochs=epochs, eta=eta, steps=steps)
 
 
@@ -715,18 +724,10 @@ def architecture_scan(
             model = MlpSpec((width,) * depth, activation=act, out_dim=1)
             theta0 = init_params(model, InitScheme.constant(1e-2))
             res = train(problem, model, theta0, Adam(eta), epochs)
-            loss = terminal_loss(res.trajectory_best, problem.x_star)
-            ts = mse_times(steps, problem.T)
-            mse = mse_control(model.forward_batch(res.theta_best, ts),
-                              sol.u_star, steps, problem.T)
-            finite = np.isfinite(loss) and np.isfinite(mse)
-            out.append(ScanPoint(depth, act.kind, loss, mse,
-                                 diverged=res.diverged or not finite))
+            m = best_metrics(problem, model, res, sol.u_star)
+            out.append(ScanPoint(depth, act.kind, m["loss"], m["mse_u"], m["diverged"]))
     return out
 
 
 def scan_to_csv(points: list[ScanPoint]) -> str:
-    lines = ["depth,activation,loss,mse_u,diverged"]
-    for p in points:
-        lines.append(f"{p.depth},{p.activation},{p.loss!r},{p.mse_u!r},{int(p.diverged)}")
-    return "\n".join(lines) + "\n"
+    return csv_text([f.name for f in fields(ScanPoint)], map(astuple, points))

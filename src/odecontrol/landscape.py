@@ -5,7 +5,8 @@ theta = theta* + alpha*delta + beta*d2 with delta, d2 drawn i.i.d. standard
 normal per coordinate. Directions are stored on the spec so any grid can be
 reproduced bit for bit. The grid is evaluated in blocks of cells, each
 block one population of runs (one rollout and one forward_batch on the MSE
-grid), so every cell equals its own single-run evaluation bit for bit.
+grid), so every cell equals its own single-run evaluation bit for bit; the
+blocks run in this process or, for workers > 1, through pool.map_cells.
 Nothing here raises on divergence: a diverged cell's rollout row is
 non-finite, so the cell is recorded as NaN and the rest of its block is
 kept.
@@ -27,9 +28,9 @@ from .dynamics import (
     sample_control,
     terminal_loss,
 )
-from .experiments import Axis
+from .experiments import Axis, csv_text
 from .linalg import SeededRng
-from .pool import cell_pool, thread_record
+from .pool import map_cells
 
 # the default grid of every projection axis; a 2-D projection's beta axis
 # takes the same range and count
@@ -149,7 +150,7 @@ class ProjectionResult:
     mse_u: np.ndarray
     energy: np.ndarray
     samples: int
-    blas_threads: dict  # see pool.thread_record
+    blas_threads: dict  # see pool.map_cells
 
     def center_index(self) -> tuple[int, int]:
         ia = int(np.argmin(np.abs(self.spec.alphas())))
@@ -157,15 +158,10 @@ class ProjectionResult:
         return ia, ib
 
     def to_csv(self) -> str:
-        lines = ["alpha,beta,loss,mse_u,energy"]
-        alphas, betas = self.spec.alphas(), self.spec.betas()
-        for i, a in enumerate(alphas):
-            for j, b in enumerate(betas):
-                lines.append(
-                    f"{float(a)!r},{float(b)!r},{float(self.loss[i, j])!r},"
-                    f"{float(self.mse_u[i, j])!r},{float(self.energy[i, j])!r}"
-                )
-        return "\n".join(lines) + "\n"
+        alphas, betas = np.meshgrid(self.spec.alphas(), self.spec.betas(), indexing="ij")
+        return csv_text(("alpha", "beta", "loss", "mse_u", "energy"),
+                        zip(alphas.ravel(), betas.ravel(), self.loss.ravel(),
+                            self.mse_u.ravel(), self.energy.ravel()))
 
     def manifest(self) -> dict:
         s = self.spec
@@ -197,7 +193,7 @@ def project(
     with worker pools). The cells, alpha-major, are cut into blocks that
     each run as one population (see _block_cells), so every cell equals its
     own single-run rollout bit for bit; for workers > 1 a process pool
-    spreads the blocks (see pool.cell_pool).
+    spreads the blocks (see pool.map_cells).
     """
     alphas, betas = spec.alphas(), spec.betas()
     ts = mse_times(samples, problem.T)
@@ -205,12 +201,8 @@ def project(
     cells = np.stack(np.meshgrid(alphas, betas, indexing="ij"), axis=-1).reshape(-1, 2)
     size = _block_cells(model, problem.steps, samples)
     blocks = [cells[i:i + size] for i in range(0, len(cells), size)]
-    evaluate = partial(_project_block, spec, problem, model, ts, us)
-    if workers > 1:
-        with cell_pool(workers) as pool:
-            rows = list(pool.map(evaluate, blocks, chunksize=1))
-    else:
-        rows = [evaluate(b) for b in blocks]
+    rows, threads = map_cells(partial(_project_block, spec, problem, model, ts, us),
+                              blocks, workers)
     grid = np.concatenate(rows).reshape(len(alphas), len(betas), 3)
     return ProjectionResult(
         spec=spec,
@@ -218,7 +210,7 @@ def project(
         mse_u=grid[:, :, 1],
         energy=grid[:, :, 2],
         samples=samples,
-        blas_threads=thread_record(workers),
+        blas_threads=threads,
     )
 
 

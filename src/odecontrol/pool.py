@@ -1,4 +1,5 @@
-"""Process pools for independent grid cells, with one BLAS thread per worker.
+"""One way to map a function over independent grid cells: in this process,
+or in a process pool whose workers run BLAS on one thread.
 
 A cell's result depends on the BLAS thread count: OpenBLAS splits wide
 matrix products across threads and sums the parts in another order. Pinning
@@ -15,7 +16,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
@@ -33,21 +33,23 @@ def blas_threads() -> int:
     return os.cpu_count() or 1
 
 
-def thread_record(workers: int) -> dict:
-    """The BLAS thread counts of a grid run, for its manifest: this process's,
-    and each pool worker's (None when the cells ran in this process)."""
-    return {"parent": blas_threads(), "workers": 1 if workers > 1 else None}
+def map_cells(fn, items, workers: int) -> tuple[list, dict]:
+    """[fn(item) for item in items], in order, and the run's BLAS thread
+    counts for its manifest: this process's, and each pool worker's (None
+    when the cells ran in this process).
 
-
-@contextmanager
-def cell_pool(workers: int):
-    """A spawn-started ProcessPoolExecutor whose workers run BLAS on one thread."""
+    workers > 1 runs the items in a spawn-started process pool, one item per
+    task, whose workers run BLAS on one thread; fn and the items must pickle.
+    """
+    threads = {"parent": blas_threads(), "workers": 1 if workers > 1 else None}
+    if workers <= 1:
+        return [fn(item) for item in items], threads
     saved = {var: os.environ.get(var) for var in THREAD_VARS}
     os.environ.update({var: "1" for var in THREAD_VARS})
     try:
         with ProcessPoolExecutor(max_workers=workers,
                                  mp_context=multiprocessing.get_context("spawn")) as pool:
-            yield pool
+            return list(pool.map(fn, items, chunksize=1)), threads
     finally:
         for var, value in saved.items():
             if value is None:

@@ -562,6 +562,16 @@ class TestConfigErrorsExit2:
         assert main(["oc", *argv]) == 2
         assert "config error: oc:" in capsys.readouterr().err
 
+    def test_project_oracle_overflow(self, tmp_path, capsys):
+        # exp(a T) = exp(750) overflows in the scalar oracle
+        doc = edited(PROJECT_DOC, problem={"kind": "scalar_linear", "a": 750.0, "b": 1.0,
+                                           "x_star": [1.0], "steps": 20})
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        outdir = tmp_path / "out"
+        assert main(["project", "--config", cfg, "--out", str(outdir)]) == 2
+        assert capsys.readouterr().err.startswith("config error: problem: ")
+        assert not outdir.exists()
+
 
 class TestExperimentCommands:
     def test_phase_writes_grid(self, tmp_path, capsys):

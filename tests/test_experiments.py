@@ -19,8 +19,10 @@ from odecontrol.experiments import (
     PHASE_GRID,
     SweepConfig,
     architecture_scan,
+    best_metrics,
     cell_seed,
     constant_problem,
+    csv_text,
     depth_width_sweep,
     flow2d_problem,
     mu_sweep,
@@ -35,9 +37,10 @@ from odecontrol.experiments import (
 )
 import odecontrol
 from odecontrol.dynamics import ControlProblem, integrator
-from odecontrol.nets import RELU, InitScheme, SingleNeuron
+from odecontrol.nets import RELU, InitScheme, MlpSpec, SingleNeuron, elu
+from odecontrol.oracles import moving_particle_oc
 from odecontrol.pool import blas_threads
-from odecontrol.training import Adam, train
+from odecontrol.training import Adam, TrainHistory, TrainResult, train
 
 
 class TestProblemFactories:
@@ -412,3 +415,123 @@ class TestArchitectureScan:
         assert lines[0] == "depth,activation,loss,mse_u,diverged"
         assert len(lines) == 3
         assert lines[1].startswith("1,elu,")
+
+
+class TestBestMetrics:
+    def test_no_best_model_scores_nan_and_diverged(self):
+        # epoch 0 diverged: no best trajectory. Every score is NaN (work on
+        # the particle, mse_u with u_star) and diverged is set even though
+        # the result itself does not say so
+        problem = particle_problem(steps=10)
+        model = MlpSpec((2,), out_dim=1)
+        theta = np.zeros(model.n_params)
+        res = TrainResult(TrainHistory(), theta, math.inf, 0, theta, None)
+        m = best_metrics(problem, model, res, moving_particle_oc().u_star)
+        assert m.pop("diverged") is True
+        assert sorted(m) == ["energy", "loss", "mean_u", "mse_u", "var_u", "work"]
+        assert all(math.isnan(v) for v in m.values())
+        assert sorted(best_metrics(constant_problem(10), model, res)) == [
+            "diverged", "energy", "loss", "mean_u", "var_u"]
+
+    def test_scores_the_best_trajectory(self):
+        problem = particle_problem(steps=20)
+        model = MlpSpec((3,), activation=elu(), out_dim=1)
+        theta0 = np.full(model.n_params, 0.1)
+        res = train(problem, model, theta0, Adam(1e-2), 3)
+        sol = moving_particle_oc()
+        m = best_metrics(problem, model, res, sol.u_star)
+        traj = res.trajectory_best
+        u = traj.controls.ravel()
+        u_hat = model.forward_batch(res.theta_best, np.arange(1, 21) / 20.0)[:, 0]
+        want = {
+            "loss": 0.5 * np.sum((traj.states[-1] - problem.x_star) ** 2),
+            "energy": 0.5 * traj.dt * np.sum(u * u),
+            "mean_u": np.mean(u),
+            "var_u": np.var(u),
+            "work": traj.dt * np.sum(traj.states[:-1, 1] * u),
+            "mse_u": np.mean((u_hat - sol.u_star(0.0)) ** 2),
+        }
+        assert m.pop("diverged") is False
+        assert m == pytest.approx(want, rel=1e-12)
+
+
+class TestEpochZeroDivergence:
+    def test_protocol_comparison_scores_nan(self):
+        # x0 = 1e308 overflows in the first Euler step, so neither protocol
+        # has a best model
+        flow2d = flow2d_problem()
+        problem = ControlProblem(flow2d.dynamics, [1e308, 0.5], flow2d.x_star, 1.0, 20)
+        with np.errstate(over="ignore"):  # the oracle's x0 overflows too
+            pc = protocol_comparison(problem=problem, hidden=(3,), epochs=2, timing_epochs=1)
+        assert pc.bptt.diverged and pc.tbptt.diverged
+        doc = pc.summary()
+        assert math.isnan(doc["bptt"]["energy"]) and math.isnan(doc["tbptt"]["energy"])
+
+
+# CSV text of every writer on tiny runs, as written before the writers
+# shared csv_text; np.float64 cells read as plain floats, not np.float64(...)
+SWEEP_DIVERGED_CSV = (
+    'layers,max_neurons,width,seed,energy,loss,mean_u,var_u,epochs_run,diverged\n'
+    '1,4,4,507061686,nan,nan,nan,nan,0,1\n'
+    '2,4,2,507102189,nan,nan,nan,nan,0,1\n'
+)
+SWEEP_CSV = (
+    'layers,max_neurons,width,seed,energy,loss,mean_u,var_u,epochs_run,diverged\n'
+    '1,4,4,1908242837,0.012769283842998287,0.3697888484975072,-0.1400129669611208,'
+    '0.005934936768740674,5,0\n'
+    '1,8,8,1908311906,0.0028602669798486148,0.5678805357553004,0.0657209163334464,'
+    '0.001401295115989368,5,0\n'
+    '2,4,2,1908283340,0.0054628894485918835,0.4136952901837031,-0.09038987452458173,'
+    '0.0027554494806141345,5,0\n'
+    '2,8,4,1908352409,0.011910521958231198,0.3733814770588446,-0.13584552647244294,'
+    '0.005367036853887201,5,0\n'
+)
+PHASE_CSV = (
+    'w0,b0,mse\n'
+    '-1.0,-2.0,0.3367680185474456\n'
+    '-1.0,0.0,0.9263075576163826\n'
+    '1.0,-2.0,0.9263075576163826\n'
+    '1.0,0.0,0.33676801854744554\n'
+)
+MU_CSV = (
+    'mu,loss,work,energy,diverged\n'
+    '0.0,0.17108488657087348,0.13927529378964285,0.020584544483838448,0\n'
+    '0.001,0.17108488657046875,0.13927529378941897,0.020584544483763508,0\n'
+)
+SCAN_CSV = (
+    'depth,activation,loss,mse_u,diverged\n'
+    '1,elu,0.25347598433189983,0.9433326230936194,0\n'
+    '2,elu,0.25395554652201346,0.9451087074521538,0\n'
+)
+
+
+class TestCsvText:
+    def test_cell_formats(self):
+        text = csv_text(("a", "b", "c", "d", "e"),
+                        [(np.float64(0.1), np.bool_(True), False, 3, "elu"),
+                         (float("nan"), np.float64(-np.inf), 1e-300, np.int64(7), "x")])
+        assert text == "a,b,c,d,e\n0.1,1,0,3,elu\nnan,-inf,1e-300,7,x\n"
+
+    def test_sweep_with_diverged_cells(self):
+        cfg = dataclasses.replace(
+            sweep_preset("time_dependent", layers=(1, 2), max_neurons=(4,),
+                         epochs=3, steps=20),
+            init=InitScheme.constant(1e307),
+        )
+        assert depth_width_sweep(cfg).to_csv() == SWEEP_DIVERGED_CSV
+
+    def test_sweep(self):
+        assert depth_width_sweep(tiny_sweep()).to_csv() == SWEEP_CSV
+
+    def test_map_phase_grid(self):
+        grid = GridSpec(Axis("w0", -1.0, 1.0, 2), Axis("b0", -2.0, 0.0, 2))
+        assert phase_diagram("linear", grid=grid, eta=0.1, epochs=5).to_csv() == PHASE_CSV
+
+    def test_mu_sweep(self):
+        res = mu_sweep(mus=(1e-3,), epochs=2, eta=0.1, seed=1, steps=30)
+        assert res.to_csv() == MU_CSV
+
+    def test_architecture_scan(self):
+        points = architecture_scan(depths=(1, 2), activations=(elu(),), width=4,
+                                   epochs=4, steps=40)
+        assert scan_to_csv(points) == SCAN_CSV

@@ -315,7 +315,30 @@ class TestBlocksMatchPerCell:
         assert np.isnan(want[[0, -1]]).all() and np.isfinite(want[1:-1]).all()
 
 
+# a 3x3 projection's CSV text as written before ProjectionResult shared
+# experiments.csv_text
+PROJECTION_CSV = (
+    'alpha,beta,loss,mse_u,energy\n'
+    '-0.4,-0.4,0.07687552576877679,0.18690370752774965,0.9758105349519663\n'
+    '-0.4,0.0,0.019530386130967293,0.05109655090692657,0.3247234817817\n'
+    '-0.4,0.4,0.30998913214281093,0.7813537203412773,0.05833191864139132\n'
+    '0.0,-0.4,0.17390194282482674,0.43303216302758696,1.2820967472605558\n'
+    '0.0,0.0,9.860761315262648e-32,0.0,0.5\n'
+    '0.0,0.4,0.1739019428248266,0.43303216302758685,0.10259874276940222\n'
+    '0.4,-0.4,0.3099891321428108,0.7813537203412773,1.633105888816949\n'
+    '0.4,0.0,0.019530386130967203,0.051096550906926566,0.7199994474661042\n'
+    '0.4,0.4,0.07687552576877679,0.18690370752774962,0.19158849614521736\n'
+)
+
+
 class TestProjectionCsvManifest:
+    def test_csv_text_of_a_3x3_grid(self):
+        problem, model, sol = neuron_setup()
+        spec = make_projection(THETA_STAR, seed=4, two_d=True, alpha_count=3,
+                               beta_count=3)
+        res = project(spec, problem, model, sol.u_star, samples=10)
+        assert res.to_csv() == PROJECTION_CSV
+
     def test_csv_round_trip(self):
         problem, model, sol = neuron_setup()
         spec = make_projection(THETA_STAR, seed=4, alpha_count=3)
