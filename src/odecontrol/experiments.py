@@ -80,8 +80,9 @@ def cell_seed(base_seed: int, i: int, j: int = 0) -> int:
 def best_metrics(problem: ControlProblem, model, res: TrainResult, u_star=None) -> dict:
     """Scores of a run's best model: the terminal loss, energy, mean_u and
     var_u of res.trajectory_best, its work on the moving particle, and, when
-    u_star (a callable t -> control) is given, the control MSE of the model
-    at res.theta_best on the problem's time grid.
+    u_star is given, the control MSE of the model at res.theta_best on the
+    problem's time grid. u_star is called once on that (K,) grid and returns
+    its (K, m) controls, as an oracle's u_star does.
 
     With no best model (epoch 0 diverged) every score is NaN. diverged is
     set then, when the run diverged, or when a score is not finite.
@@ -98,7 +99,7 @@ def best_metrics(problem: ControlProblem, model, res: TrainResult, u_star=None) 
     if u_star is not None:
         ts = mse_times(problem.steps, problem.T)
         scores["mse_u"] = lambda: mse_control(model.forward_batch(res.theta_best, ts),
-                                              u_star, problem.steps, problem.T)
+                                              u_star(ts), problem.steps, problem.T)
     out = {name: float("nan") if traj is None else score() for name, score in scores.items()}
     out["diverged"] = bool(res.diverged or not all(np.isfinite(v) for v in out.values()))
     return out

@@ -188,16 +188,17 @@ def project(
 ) -> ProjectionResult:
     """Evaluate (loss, control MSE, energy) over the projection grid.
 
-    u_star is a callable t -> optimal control, used for the MSE surface with
-    `samples` grid points. It is sampled once up front (so closures are fine
-    with worker pools). The cells, alpha-major, are cut into blocks that
+    u_star is the optimal control as an oracle's u_star: a callable that
+    maps the (samples,) MSE grid to its (samples, m) controls in one call
+    (see oracles.OcSolution). It is sampled once up front (so closures are
+    fine with worker pools). The cells, alpha-major, are cut into blocks that
     each run as one population (see _block_cells), so every cell equals its
     own single-run rollout bit for bit; for workers > 1 a process pool
     spreads the blocks (see pool.map_cells).
     """
     alphas, betas = spec.alphas(), spec.betas()
     ts = mse_times(samples, problem.T)
-    us = sample_control(u_star, ts, "u_star")
+    us = sample_control(u_star(ts), ts, "u_star")
     cells = np.stack(np.meshgrid(alphas, betas, indexing="ij"), axis=-1).reshape(-1, 2)
     size = _block_cells(model, problem.steps, samples)
     blocks = [cells[i:i + size] for i in range(0, len(cells), size)]

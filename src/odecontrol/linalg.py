@@ -3,10 +3,14 @@ squaring of a Taylor polynomial, the controllability Gramian by the
 trapezoid rule, SPD solves on numpy's LAPACK Cholesky, and seeded random
 number generation.
 
-The Gramian is one array program: the powers exp(A dt)^j take one product
-per panel, all panel terms are one stacked product, and the panels are
-summed in order, since numpy's pairwise `sum` rounds differently for n = 1.
-It gives the per-panel loop's bits in about 3 (steps + 1) n^2 floats.
+The exponential runs on a stack of times at once (`mat_exp_stack`), each
+time squared only as often as its own norm asks, with the bits of one
+`mat_exp` per time. The Gramian is one array program: the powers
+exp(A dt)^j take one product per panel, all panel terms are one stacked
+product, and the panels are summed in order, since numpy's pairwise `sum`
+rounds differently for n = 1. The running sum gives W(s dt) for every panel
+count s at once (`gramian_prefixes`), each with the per-panel loop's bits,
+in about 4 (steps + 1) n^2 floats.
 
 Everything works on float64 numpy arrays and checks dimensions explicitly;
 nothing here broadcasts silently.
@@ -87,39 +91,57 @@ def mat_exp(a, t: float = 1.0) -> np.ndarray:
 
     A t is halved s times until its 1-norm is at most 1/2, where the
     degree-18 Taylor polynomial is exact to rounding; the polynomial is then
-    squared s times. A, t and A t must be finite.
+    squared s times. A, t and A t must be finite. This is `mat_exp_stack`
+    at one time.
+    """
+    return mat_exp_stack(a, float(t))
+
+
+def mat_exp_stack(a, ts) -> np.ndarray:
+    """exp(A t) for every time in ts: shape ts.shape + (n, n).
+
+    Item k equals `mat_exp(a, ts[k])` bit for bit. Each time gets its own
+    squaring count s_k from the 1-norm of A t_k, the Horner steps run on the
+    whole stack, and item k is squared s_k times only. Stacked matmuls run
+    one BLAS product per item, the same call as the single product. The
+    buffers hold a few M n^2 floats for M times.
     """
     A = check_square(a, "A")
-    t = float(t)
-    if not np.isfinite(t):
-        raise ValueError(f"t must be finite, got {t}")
-    M = A * t
+    ts = np.asarray(ts, dtype=np.float64)
+    if not np.all(np.isfinite(ts)):
+        raise ValueError(f"t must be finite, got {ts}")
+    M = A * ts[..., None, None]
     if not np.all(np.isfinite(M)):
         raise ValueError("A and A t must be finite")
-    norm = np.linalg.norm(M, 1)
-    s = int(np.ceil(np.log2(2.0 * norm))) if norm > 0.5 else 0
-    M = M / 2.0**s
+    norms = np.linalg.norm(M, 1, axis=(-2, -1))
+    s = np.array([int(np.ceil(np.log2(2.0 * norm))) if norm > 0.5 else 0
+                  for norm in norms.ravel()], dtype=np.int64)
+    M = M / (2.0**s).reshape(ts.shape + (1, 1))
     identity = np.eye(A.shape[0])
     X = identity
     for k in range(18, 0, -1):  # Horner: I + M/1 (I + M/2 (I + ...))
         X = identity + (M @ X) / k
-    for _ in range(s):
-        X = X @ X
+    flat = X.reshape(-1, *A.shape)  # a view: squaring item k squares X's
+    for r in range(s.max(initial=0)):
+        more = s > r
+        flat[more] = flat[more] @ flat[more]
     return X
 
 
-def gramian(a, b, horizon: float, steps: int = 2000) -> np.ndarray:
-    """Controllability Gramian W(T) = int_0^T exp(A s) B B^T exp(A^T s) ds.
+def gramian_prefixes(a, b, horizon: float, steps: int = 2000) -> np.ndarray:
+    """The trapezoid Gramians W(s dt), s = 0..steps, with dt = T / steps:
+    an (steps + 1, n, n) stack whose row s equals `gramian(a, b, s dt, s)`
+    bit for bit whenever s dt / s == dt (row 0 is zero).
 
-    Trapezoidal rule on a uniform grid with `steps` panels. Only the powers
-    E_{j+1} = exp(A dt) E_j run in Python, one product per panel; the panel
-    terms (E_j B)(E_j B)^T are one stacked product, summed in panel order by
-    `np.add.accumulate`. That gives the per-panel loop's bits, where
-    `G.sum(axis=0)` would sum pairwise for n = 1 and change them. The
-    buffers hold about 3 (steps + 1) n^2 floats (190 KB for n = 2 and 2000
-    panels). The result is symmetrized before returning so downstream
-    Cholesky never sees the rounding skew of the accumulation order. A, B
-    and A dt must be finite.
+    Only the powers E_{j+1} = exp(A dt) E_j run in Python, one product per
+    panel; the panel terms G_j = (E_j B)(E_j B)^T are one stacked product
+    and are summed in panel order by `np.add.accumulate`, whose running sum
+    is the trapezoid sum of every panel count at once: W_s = dt (acc_{s-1}
+    + G_s / 2) with G_0 halved. `G.sum(axis=0)` would sum pairwise for
+    n = 1 and change the bits. Every row is symmetrized so downstream
+    Cholesky never sees the rounding skew of the accumulation order. The
+    buffers hold about 4 (steps + 1) n^2 floats (250 KB for n = 2 and 2000
+    panels). A, B and A dt must be finite.
     """
     A = check_square(a, "A")
     B = as_matrix(b, "B")
@@ -144,10 +166,23 @@ def gramian(a, b, horizon: float, steps: int = 2000) -> np.ndarray:
     EB = E @ B
     G = EB @ EB.swapaxes(-1, -2)
     G[0] *= 0.5
-    G[-1] *= 0.5
-    W = np.add.accumulate(G, axis=0)[-1]
+    W = np.empty_like(G)
+    W[0] = 0.0
+    np.add.accumulate(G[:-1], axis=0, out=W[1:])
+    G[1:] *= 0.5
+    W[1:] += G[1:]
     W *= dt
-    return 0.5 * (W + W.T)
+    return 0.5 * (W + W.swapaxes(-1, -2))
+
+
+def gramian(a, b, horizon: float, steps: int = 2000) -> np.ndarray:
+    """Controllability Gramian W(T) = int_0^T exp(A s) B B^T exp(A^T s) ds.
+
+    Trapezoidal rule on a uniform grid with `steps` panels: the last row of
+    `gramian_prefixes`, which holds the per-panel loop's bits and checks
+    the arguments.
+    """
+    return gramian_prefixes(a, b, horizon, steps)[-1].copy()
 
 
 def cholesky(a) -> np.ndarray:

@@ -5,6 +5,9 @@ minimum-energy controls for constant, scalar-linear and general linear
 steering, the known optimum of the moving-particle work problem, the best
 constant control baseline, and the exact steepest-descent maps of the
 single-neuron problems.
+
+Every u_star takes one time or an (M,) array of times, so a time grid is
+sampled in one call; row k of u_star(ts) equals u_star(ts[k]) bit for bit.
 """
 
 from __future__ import annotations
@@ -16,7 +19,15 @@ from typing import Callable
 import numpy as np
 
 from .dynamics import MovingParticleDynamics
-from .linalg import as_matrix, as_vector, gramian, mat_exp, solve_spd
+from .linalg import (
+    as_matrix,
+    as_vector,
+    gramian,
+    gramian_prefixes,
+    mat_exp,
+    mat_exp_stack,
+    solve_spd,
+)
 
 # trapezoid panels of the Gramian W(T) over the whole horizon in linear_nd_oc
 GRAMIAN_STEPS = 2000
@@ -26,12 +37,16 @@ GRAMIAN_STEPS = 2000
 class OcSolution:
     """Optimal control u*(t), optimal state path x*(t), and the optimal value.
 
+    u_star maps a time to the (m,) control, or an (M,) array of times to the
+    (M, m) controls on them, row k bit for bit u_star(ts[k]). x_star maps one
+    time to the (n,) state.
+
     functional_kind says what `value` is: the control energy
     E = 1/2 int ||u||^2 for the minimum-energy problems, or the mechanical
     work W = int v u dt for the moving-particle problem.
     """
 
-    u_star: Callable[[float], np.ndarray]
+    u_star: Callable[[float | np.ndarray], np.ndarray]
     x_star: Callable[[float], np.ndarray]
     value: float
     functional_kind: str = "energy"
@@ -57,8 +72,8 @@ def constant_oc(x0: float, xstar: float, horizon: float) -> OcSolution:
     u_const = (xstar - x0) / horizon
     energy = (xstar - x0) ** 2 / (2.0 * horizon)
 
-    def u_fn(t: float) -> np.ndarray:
-        return np.array([u_const])
+    def u_fn(t) -> np.ndarray:
+        return np.full(np.shape(t) + (1,), u_const)
 
     def x_fn(t: float) -> np.ndarray:
         return np.array([x0 + u_const * t])
@@ -84,8 +99,10 @@ def scalar_linear_oc(a: float, b: float, x0: float, xstar: float, horizon: float
     amp = a * gap / (b * sh)
     energy = a * (1.0 - math.exp(-2.0 * a * T)) * gap * gap / (4.0 * sh * sh * b * b)
 
-    def u_fn(t: float) -> np.ndarray:
-        return np.array([amp * math.exp(-a * t)])
+    def u_fn(t) -> np.ndarray:
+        # math.exp per time: np.exp rounds differently in a few % of cases
+        u = [amp * math.exp(-a * tk) for tk in np.ravel(t).tolist()]
+        return np.array(u).reshape(np.shape(t) + (1,))
 
     def x_fn(t: float) -> np.ndarray:
         return np.array([x0 * math.exp(a * t) + math.sinh(a * t) / sh * gap])
@@ -99,6 +116,11 @@ def linear_nd_oc(a, b, x0, xstar, horizon: float) -> OcSolution:
     u*(t) = B^T e^{A^T (T-t)} W(T)^{-1} v with v = x* - e^{AT} x0 and
     E* = 1/2 v^T W(T)^{-1} v. Uncontrollable or ill-conditioned systems
     surface as the SPD solver's pivot error.
+
+    The Gramian prefixes W(s dt), s = 0..GRAMIAN_STEPS, are built once:
+    x*(t) reads W(t) from them when t falls on their grid with the bits of a
+    fresh `gramian` (for the flow2d table, every t > 0 but 0.3 and 0.6) and
+    calls `gramian` otherwise. u*(ts) is one stacked exponential.
     """
     A = as_matrix(a, "A")
     B = as_matrix(b, "B")
@@ -107,13 +129,16 @@ def linear_nd_oc(a, b, x0, xstar, horizon: float) -> OcSolution:
     T = float(horizon)
     if T <= 0.0:
         raise ValueError(f"horizon must be positive, got {T}")
-    W = gramian(A, B, T, GRAMIAN_STEPS)
+    prefixes = gramian_prefixes(A, B, T, GRAMIAN_STEPS)
+    dt = T / GRAMIAN_STEPS
     v = xs - mat_exp(A, T) @ x0
-    z = solve_spd(W, v)
+    z = solve_spd(prefixes[-1], v)
     energy = 0.5 * float(v @ z)
 
-    def u_fn(t: float) -> np.ndarray:
-        return B.T @ (mat_exp(A.T, T - t) @ z)
+    def u_fn(t) -> np.ndarray:
+        # one BLAS matvec per time, as in the single product
+        y = np.matmul(mat_exp_stack(A.T, T - np.asarray(t, dtype=np.float64)), z)
+        return np.matmul(B.T, y[..., None])[..., 0]
 
     def x_fn(t: float) -> np.ndarray:
         if t <= 0.0:
@@ -121,7 +146,10 @@ def linear_nd_oc(a, b, x0, xstar, horizon: float) -> OcSolution:
         # x*(t) = e^{At} x0 + W(t) e^{A^T (T-t)} z, from substituting u* into
         # the variation-of-constants integral
         steps = max(100, int(round(GRAMIAN_STEPS * t / T)))
-        w_t = gramian(A, B, t, steps)
+        if steps <= GRAMIAN_STEPS and t / steps == dt:
+            w_t = prefixes[steps]
+        else:
+            w_t = gramian(A, B, t, steps)
         return mat_exp(A, t) @ x0 + w_t @ (mat_exp(A.T, T - t) @ z)
 
     return OcSolution(u_fn, x_fn, energy, "energy", "linear_nd_oc")
@@ -134,8 +162,8 @@ def moving_particle_oc() -> OcSolution:
     x*(t) = (t, 1), and the optimal work is W = int_0^1 v u dt = 1.
     """
 
-    def u_fn(t: float) -> np.ndarray:
-        return np.array([1.0])
+    def u_fn(t) -> np.ndarray:
+        return np.ones(np.shape(t) + (1,))
 
     def x_fn(t: float) -> np.ndarray:
         return np.array([t, 1.0])

@@ -178,7 +178,7 @@ class TestProject:
         problem = ControlProblem(scalar_linear(2e5, 1.0), [1.0], [0.0], 1.0, 200)
         model = SingleNeuron(Activation("linear"))
         spec = make_projection(THETA_STAR, seed=0, alpha_count=3)
-        res = project(spec, problem, model, lambda t: np.zeros(1), samples=10)
+        res = project(spec, problem, model, lambda t: np.zeros(np.shape(t) + (1,)), samples=10)
         assert np.isnan(res.loss).all()
         assert np.isnan(res.mse_u).all()
         assert np.isnan(res.energy).all()
@@ -293,7 +293,7 @@ class TestBlocksMatchPerCell:
             steps = first_nonfinite(
                 euler_states(problem, model.forward_batch(thetas, problem.times()[:-1])))
         assert len(set(steps[steps >= 0])) >= 3  # runs stop at different steps
-        u_star = lambda t: np.zeros(1)
+        u_star = lambda t: np.zeros(np.shape(t) + (1,))
         res = project(spec, problem, model, u_star, samples=20)
         want = assert_matches_per_cell(res, spec, problem, model, u_star, 20)
         finite = np.isfinite(want).all(axis=-1)
@@ -309,7 +309,7 @@ class TestBlocksMatchPerCell:
         # overflows there (and not at |c| = 5e153)
         problem = ControlProblem(scalar_linear(0.0, 1.0), [0.0], [0.0], 0.5, 1)
         spec = ProjectionSpec([0.0], [1.0], Axis("alpha", -1e154, 1e154, 5))
-        model, u_star = ConstantControl(), lambda t: np.zeros(1)
+        model, u_star = ConstantControl(), lambda t: np.zeros(np.shape(t) + (1,))
         res = project(spec, problem, model, u_star, samples=2)
         want = assert_matches_per_cell(res, spec, problem, model, u_star, 2)
         assert np.isnan(want[[0, -1]]).all() and np.isfinite(want[1:-1]).all()

@@ -1,6 +1,7 @@
 """Dense linear-algebra helpers checked against series expansions and
-grid refinement. The stacked Gramian is also checked bit for bit against
-the per-panel trapezoid loop kept in conftest.py."""
+grid refinement. The stacked Gramian and its prefix stack are also checked
+bit for bit against the per-panel trapezoid loop kept in conftest.py, and
+the stacked exponential against one scaling and squaring per time."""
 
 import math
 
@@ -15,7 +16,9 @@ from odecontrol.linalg import (
     SeededRng,
     cholesky,
     gramian,
+    gramian_prefixes,
     mat_exp,
+    mat_exp_stack,
     solve_spd,
 )
 
@@ -30,6 +33,23 @@ def taylor_exp(a: np.ndarray, t: float, terms: int = 60) -> np.ndarray:
         term = term @ (a * t) / k
         out = out + term
     return out
+
+
+def scaled_squared_exp(a: np.ndarray, t: float) -> np.ndarray:
+    """exp(A t) one time at a time: halve A t until its 1-norm is at most
+    1/2, Horner on the degree-18 Taylor polynomial, square back. The
+    reference whose bits mat_exp and mat_exp_stack must keep."""
+    m = a * t
+    norm = np.linalg.norm(m, 1)
+    s = int(np.ceil(np.log2(2.0 * norm))) if norm > 0.5 else 0
+    m = m / 2.0**s
+    identity = np.eye(a.shape[0])
+    x = identity
+    for k in range(18, 0, -1):
+        x = identity + (m @ x) / k
+    for _ in range(s):
+        x = x @ x
+    return x
 
 
 class TestMatExp:
@@ -100,6 +120,67 @@ class TestMatExp:
                 want = expm(a * t)
                 got = mat_exp(a, t)
                 assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+class TestMatExpStack:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4),
+           st.lists(st.floats(-3.0, 9.0), min_size=1, max_size=12), st.booleans())
+    def test_matches_mat_exp_bit_for_bit(self, seed, n, log2_norms, shuffle):
+        # |A t|_1 = 2^e for e in [-3, 9]: 0 to 10 squarings, both signs of t,
+        # plus t = 0 and t = -0.0, in a stack whose items square unevenly
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(n, n))
+        norms = 2.0 ** np.array(log2_norms) / np.linalg.norm(a, 1)
+        ts = np.concatenate([norms, -norms, [0.0, -0.0]])
+        if shuffle:
+            rng.shuffle(ts)
+        got = mat_exp_stack(a, ts)
+        assert got.shape == (ts.shape[0], n, n)
+        for k, t in enumerate(ts):
+            want = scaled_squared_exp(a, float(t))
+            assert np.array_equal(got[k], want)
+            assert np.array_equal(mat_exp(a, t), want)
+
+    def test_shapes(self):
+        a = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        assert mat_exp_stack(a, 0.5).shape == (2, 2)
+        assert mat_exp_stack(a, np.zeros((3, 4))).shape == (3, 4, 2, 2)
+        assert mat_exp_stack(a, []).shape == (0, 2, 2)
+
+
+class TestGramianPrefixes:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 3),
+           st.floats(0.05, 4.0), st.integers(100, 600),
+           st.lists(st.integers(1, 600), min_size=1, max_size=4), st.booleans())
+    def test_rows_match_panel_loop_bit_for_bit(self, panel_loop, seed, n, m, horizon,
+                                               steps, rows, zero_a):
+        rng = np.random.default_rng(seed)
+        a = np.zeros((n, n)) if zero_a else rng.uniform(0.1, 1.0) * rng.normal(size=(n, n))
+        b = rng.normal(size=(n, m))
+        w = gramian_prefixes(a, b, horizon, steps)
+        assert w.shape == (steps + 1, n, n)
+        assert not w[0].any()
+        dt = horizon / steps
+        for s in {min(r, steps) for r in rows} | {1, steps}:
+            assert np.array_equal(w[s], panel_loop(a, b, dt, s))
+        assert np.array_equal(w[-1], gramian(a, b, horizon, steps))
+
+    def test_flow2d_closed_form(self):
+        # A = [[1, 0], [1, 0]], B = (1, 0): W11 = (e^{2t} - 1)/2,
+        # W12 = W11 - (e^t - 1) and W22 = W11 - 2 (e^t - 1) + t. The
+        # trapezoid's error is largest at one panel: dt^2/3 = 8.3e-8 of
+        # the largest entry at dt = 5e-4.
+        a = np.array([[1.0, 0.0], [1.0, 0.0]])
+        b = np.array([[1.0], [0.0]])
+        w = gramian_prefixes(a, b, 1.0, 2000)
+        for s in range(1, 2001):
+            t = s / 2000
+            w11 = 0.5 * math.expm1(2.0 * t)
+            w12 = w11 - math.expm1(t)
+            want = np.array([[w11, w12], [w12, w11 - 2.0 * math.expm1(t) + t]])
+            assert np.abs(w[s] - want).max() <= 1e-7 * np.abs(want).max()
 
 
 class TestGramian:

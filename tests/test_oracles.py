@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from odecontrol.dynamics import (
     ControlProblem,
@@ -20,6 +22,7 @@ from odecontrol.dynamics import (
 )
 from odecontrol.experiments import flow2d_problem
 from odecontrol.oracles import (
+    GRAMIAN_STEPS,
     baseline_energy_recursion,
     constant_baseline,
     constant_oc,
@@ -130,19 +133,28 @@ class TestLinearNdOc:
         assert terminal_loss(traj, problem.x_star) < 1e-4
         assert control_energy(traj) == pytest.approx(sol.value, rel=1e-3)
 
-    def test_flow2d_matches_panel_loop_bit_for_bit(self, monkeypatch, loop_gramian):
+    def test_flow2d_matches_panel_loop_bit_for_bit(self, loop_gramian):
         # The value and the 11-point u*/x* table that `oc --flow2d` prints and
         # the benchmark checks at 1e-12 relative (already a few 1e-13 off on
-        # some BLAS builds) must be the per-panel loop's bits, so the stacked
-        # Gramian may not change a single rounding.
+        # some BLAS builds) must be the per-panel loop's bits, so neither the
+        # stacked Gramian nor the oracle's shared prefix stack may change a
+        # single rounding. The reference builds W(T) and each W(t) from the
+        # loop; 1e-3, 0.3 and 0.6 miss the prefix grid and 1.5 lies past T.
         problem = flow2d_problem()
         got = oc_for_problem(problem)
-        monkeypatch.setattr("odecontrol.oracles.gramian", loop_gramian)
-        want = oc_for_problem(problem)
-        assert got.value == want.value
-        for t in np.linspace(0.0, problem.T, 11):
-            assert np.array_equal(got.u_star(t), want.u_star(t))
-            assert np.array_equal(got.x_star(t), want.x_star(t))
+        a, b, x0, T = problem.dynamics.A, problem.dynamics.B, problem.x0, problem.T
+        v = problem.x_star - mat_exp(a, T) @ x0
+        z = solve_spd(loop_gramian(a, b, T, GRAMIAN_STEPS), v)
+        assert got.value == 0.5 * float(v @ z)
+        for t in list(np.linspace(0.0, T, 11)) + [1e-3, 0.3, 0.6, 1.5]:
+            assert np.array_equal(got.u_star(t), b.T @ (mat_exp(a.T, T - t) @ z))
+            if t <= 0.0:
+                want = x0
+            else:
+                steps = max(100, int(round(GRAMIAN_STEPS * t / T)))
+                want = (mat_exp(a, t) @ x0
+                        + loop_gramian(a, b, t, steps) @ (mat_exp(a.T, T - t) @ z))
+            assert np.array_equal(got.x_star(t), want)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_b_rejected(self, bad):
@@ -163,6 +175,43 @@ class TestLinearNdOc:
         with pytest.raises(NotPositiveDefiniteError):
             linear_nd_oc([[1.0, 0.0], [0.0, 1.0]], [[1.0], [0.0]],
                          [0.0, 0.0], [1.0, 1.0], 1.0)
+
+
+class TestUStarOnArrays:
+    """u_star(ts) samples a whole time grid in one call: row k equals
+    u_star(ts[k]) bit for bit, for every oracle."""
+
+    @staticmethod
+    def solutions(rng: np.random.Generator) -> list:
+        n, m = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+        a = rng.uniform(0.1, 2.0) * rng.normal(size=(n, n))
+        b = rng.normal(size=(n, m)) + np.eye(n, m)
+        x0, xs = rng.normal(size=2)
+        T = float(rng.uniform(0.2, 2.0))
+        driftless = ControlProblem(scalar_linear(0.0, float(rng.uniform(0.5, 2.0))),
+                                   [x0], [xs], T, 10)
+        return [
+            constant_oc(x0, xs, T),
+            scalar_linear_oc(float(rng.uniform(0.1, 2.0)), float(rng.uniform(0.5, 2.0)),
+                             x0, xs, T),
+            linear_nd_oc(a, b, rng.normal(size=n), rng.normal(size=n), T),
+            moving_particle_oc(),
+            oc_for_problem(driftless),  # the x' = b u wrapper
+            oc_for_problem(flow2d_problem()),
+        ]
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1),
+           st.lists(st.floats(-1.0, 3.0), min_size=1, max_size=20))
+    def test_rows_match_scalar_calls(self, seed, times):
+        ts = np.array(times + [0.0, -0.0, 1.0])
+        for sol in self.solutions(np.random.default_rng(seed)):
+            us = sol.u_star(ts)
+            m = sol.u_star(0.5).shape[0]
+            assert us.shape == (ts.shape[0], m), sol.name
+            for k, t in enumerate(ts):
+                assert np.array_equal(us[k], sol.u_star(t)), (sol.name, t)
+                assert np.array_equal(us[k], sol.u_star(float(t))), (sol.name, t)
 
 
 class TestMovingParticleOc:
