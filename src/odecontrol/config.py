@@ -42,7 +42,7 @@ from .nets import (
     SingleNeuron,
     activation_from_config,
 )
-from .training import Adam, Protocol, Sd, check_eta
+from .training import Adam, Protocol, Sd
 
 
 class ConfigError(ValueError):
@@ -160,7 +160,7 @@ def _count(value, path: str) -> int:
 
 def _eta(value, path: str) -> float:
     eta = _as_float(value, path)
-    _check(path, check_eta, eta)
+    _check(path, check_positive, "eta", eta)
     return eta
 
 

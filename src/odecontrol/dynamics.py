@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DimensionError, as_matrix, as_vector, check_count, row_dot
+from .linalg import DimensionError, as_matrix, as_vector, check_count, check_positive, row_dot
 
 
 class DivergenceError(RuntimeError):
@@ -99,7 +99,8 @@ class MovingParticleDynamics(LinearDynamics):
 class ControlProblem:
     """Steering task: drive dynamics from x0 to x_star over [0, T] in K steps.
 
-    x0 and x_star are kept as read-only copies and must be finite.
+    x0 and x_star are kept as read-only copies and must be finite, and T
+    must be a finite number above 0.
     """
 
     dynamics: LinearDynamics
@@ -121,8 +122,7 @@ class ControlProblem:
             raise DimensionError(
                 f"x0 and x_star must have shape ({n},), got {self.x0.shape} and {self.x_star.shape}"
             )
-        if self.T <= 0.0:
-            raise ValueError(f"T must be positive, got {self.T}")
+        check_positive("T", self.T)
         check_count("steps", self.steps)
         # every rollout reads the grid, so it is built once and shared read-only
         times = np.linspace(0.0, self.T, self.steps + 1)

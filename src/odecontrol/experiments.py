@@ -47,7 +47,7 @@ from .nets import (
 )
 from .oracles import linear_nd_oc, linear_neuron_map, moving_particle_oc, relu_neuron_map
 from .pool import map_cells
-from .training import Adam, Protocol, Sd, TrainResult, check_eta, train, train_runs
+from .training import Adam, Protocol, Sd, TrainResult, train, train_runs
 
 
 def constant_problem(steps: int = 100) -> ControlProblem:
@@ -245,7 +245,7 @@ def phase_diagram(
         raise ValueError(f"kind must be 'linear' or 'relu', got {kind!r}")
     if method not in ("map", "train_adam"):
         raise ValueError(f"method must be 'map' or 'train_adam', got {method!r}")
-    check_eta(eta)
+    check_positive("eta", eta)
     check_count("epochs", epochs)
     check_positive("horizon", horizon)
     bstar = (xstar - x0) / horizon

@@ -6,7 +6,7 @@ discrete adjoint: lambda_K = dL/dx_K, then lambda_k = (I + dt * A^T)
 lambda_{k+1} plus any integrated-cost state terms, forms the K cotangents
 dt * B^T lambda_{k+1} in one product and pulls them back in one batched vjp
 (counted as K).
-tbptt_grad keeps a single time index k' and does exactly one vjp; its
+tbptt_grad keeps a single time index k' and does one vjp per run; its
 "propagated" variant uses the true adjoint at k'+1 so the K single-index
 gradients sum back to the full one, while "frozen" zeroes all state
 sensitivity downstream of k'.
@@ -167,12 +167,15 @@ def tbptt_grad(
     k_index: int,
     variant: str = "propagated",
 ) -> GradResult:
-    """Single-index truncated gradient (exactly one vjp), terminal loss only.
+    """Single-index truncated gradient (one vjp per run), terminal loss only.
 
     variant "frozen" is the literal truncated rule with downstream state
     sensitivities treated as zero: dt * J_u(t_k')^T B^T (x_K - x*).
     variant "propagated" (default) replaces the frozen cotangent with the true
     adjoint lambda_{k'+1}, so summing over k' = 0..K-1 reproduces bptt_grad.
+    A (..., P) theta is a population of runs sharing k_index, as in
+    bptt_grad: lambda is a (..., n, 1) column stack and A^T lambda the stacked
+    matvec, so each run's gradient equals its own call's bit for bit.
     """
     if variant not in ("frozen", "propagated"):
         raise ValueError(f"unknown tbptt variant {variant!r}")
@@ -180,13 +183,11 @@ def tbptt_grad(
     if not 0 <= k_index < k_steps:
         raise ValueError(f"k_index must be in [0, {k_steps}), got {k_index}")
     theta = np.asarray(theta, dtype=np.float64)
-    if theta.ndim != 1:
-        raise ValueError(f"tbptt_grad takes one run's theta, got shape {theta.shape}")
     traj = rollout(problem, model, theta)
     dyn = problem.dynamics
     dt = problem.dt
 
-    lam = traj.states[k_steps] - problem.x_star
+    lam = (traj.states[..., k_steps, :] - problem.x_star)[..., None]
     if variant == "propagated":
         a_t = dyn.A.T
         step = np.empty_like(lam)
@@ -194,9 +195,9 @@ def tbptt_grad(
             np.matmul(a_t, lam, step)
             step *= dt
             lam += step
-    g_u = dt * (dyn.B.T @ lam)
+    g_u = dt * np.matmul(dyn.B.T, lam)[..., 0]
     grad = model.vjp(theta, traj.times[k_index], g_u)
-    _count_vjp()
+    _count_vjp(math.prod(traj.controls.shape[:-2]))
     return GradResult(grad, terminal_loss(traj, problem.x_star), traj)
 
 

@@ -73,9 +73,11 @@ def check_count(name: str, n: int) -> None:
 
 
 def check_positive(name: str, x: float) -> None:
-    """Raise a ValueError naming x unless it is above 0."""
+    """Raise a ValueError naming x unless it is a finite number above 0."""
     if not x > 0.0:
         raise ValueError(f"{name} must be positive, got {x}")
+    if x == np.inf:
+        raise ValueError(f"{name} must be finite, got {x}")
 
 
 def check_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:

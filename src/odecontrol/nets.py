@@ -9,10 +9,10 @@ sum of the K pullbacks (a scalar t is the K = 1 case). All models expose the
 same quartet (n_params, forward, forward_batch, vjp), so the gradient and
 training code never cares which shape of controller it is driving.
 
-forward_batch also takes a run axis: a (..., P) theta holds one run per row
-and gives (..., K, out_dim) controls, each run bit-equal to its own call.
-SingleNeuron and ConstantControl take the run axis in vjp too; an MLP's vjp
-and forward take one run's theta.
+Every method takes a run axis: a (..., P) theta holds one run per row,
+forward gives (..., out_dim) controls, forward_batch (..., K, out_dim) and
+vjp a (..., P) gradient from (..., K, out_dim) cotangents, each run bit-equal
+to its own call with a (P,) theta.
 """
 
 from __future__ import annotations
@@ -216,14 +216,12 @@ class MlpSpec:
     def n_params(self) -> int:
         return self._n_params
 
-    def _check_theta(self, theta: np.ndarray, runs: bool = False) -> np.ndarray:
-        """theta as float64: one run's (P,) vector, or (..., P) when runs is set."""
+    def _check_theta(self, theta: np.ndarray) -> np.ndarray:
+        """theta as float64, a (..., P) array with one run per row."""
         theta = np.asarray(theta, dtype=np.float64)
-        if theta.shape[-1:] != (self._n_params,) or (theta.ndim > 1 and not runs):
-            want = "(..., P)" if runs else "(P,)"
+        if theta.shape[-1:] != (self._n_params,):
             raise DimensionError(
-                f"theta must have shape {want} with P = {self._n_params}, got "
-                f"{theta.shape}; an MLP's forward and vjp take one run's theta"
+                f"theta must have shape (..., P) with P = {self._n_params}, got {theta.shape}"
             )
         return theta
 
@@ -252,40 +250,39 @@ class MlpSpec:
         return a, tape
 
     def forward(self, theta, t: float) -> np.ndarray:
-        """Control vector at scalar time t, shape (out_dim,)."""
-        y, _ = self._tape(self._check_theta(theta), np.array([t], dtype=np.float64))
-        return y[0]
+        """Control vector (..., out_dim) at scalar time t."""
+        return self.forward_batch(theta, [t])[..., 0, :]
 
     def forward_batch(self, theta, ts: np.ndarray) -> np.ndarray:
-        """Controls (..., len(ts), out_dim) at a 1-D array of times; a
-        (..., P) theta holds one run per row."""
-        y, _ = self._tape(self._check_theta(theta, runs=True),
-                          np.asarray(ts, dtype=np.float64))
+        """Controls (..., len(ts), out_dim) at a 1-D array of times."""
+        y, _ = self._tape(self._check_theta(theta), np.asarray(ts, dtype=np.float64))
         return y
 
     def vjp(self, theta, t, ybar) -> np.ndarray:
         """J_u(t)^T ybar pulled back to parameter space; for a (K,) t and a
-        (K, out_dim) ybar, the sum of the K pullbacks."""
+        (..., K, out_dim) ybar, each run's sum of its K pullbacks. Every layer
+        product is stacked over the runs, as in _tape."""
         theta = self._check_theta(theta)
-        ts, g = _cotangents(t, ybar, self.out_dim)
+        runs = theta.shape[:-1]
+        ts, g = _cotangents(t, ybar, self.out_dim, runs)
         _, tape = self._tape(theta, ts)
         shapes, offs, acts = self._shapes, self._offs, self._acts
         # offsets tile theta contiguously, so every slice below is written once
-        grad = np.empty(self._n_params)
+        grad = np.empty(theta.shape)
         for l in range(len(shapes) - 1, -1, -1):
             a_prev, z = tape[l]
             g = g * acts[l].deriv(z)
             fi, fo, has_b = shapes[l]
             w0, w1, b0, b1 = offs[l]
-            grad[w0:w1] = (g.T @ a_prev).reshape(fi * fo)
+            grad[..., w0:w1] = np.matmul(g.swapaxes(-1, -2), a_prev).reshape(*runs, fi * fo)
             if has_b:
-                grad[b0:b1] = g.sum(axis=0)
+                grad[..., b0:b1] = g.sum(axis=-2)
             if l > 0:
-                g = g @ theta[w0:w1].reshape(fo, fi)
+                g = np.matmul(g, theta[..., w0:w1].reshape(*runs, fo, fi))
         return grad
 
 
-def _cotangents(t, ybar, out_dim: int, runs: tuple = ()) -> tuple[np.ndarray, np.ndarray]:
+def _cotangents(t, ybar, out_dim: int, runs: tuple) -> tuple[np.ndarray, np.ndarray]:
     """(ts, ybar) as (K,) and (*runs, K, out_dim) arrays; a scalar t is K = 1.
     runs is theta's leading (run) shape."""
     ts, ybar = np.asarray(t, dtype=np.float64), np.asarray(ybar, dtype=np.float64)
@@ -301,9 +298,8 @@ class SingleNeuron:
 
     The bias sits outside the nonlinearity, which is what makes the relu
     variant's fixed-point structure interesting: for w < 0 the weight
-    gradient vanishes on t > 0 and only b moves. forward_batch and vjp take
-    a (..., 2) theta, one row per run, and give each run the values of its
-    own call.
+    gradient vanishes on t > 0 and only b moves. theta is (..., 2), one row
+    per run.
     """
 
     activation: Activation = LINEAR
@@ -318,7 +314,7 @@ class SingleNeuron:
         return [(1, 1, True)]
 
     def forward(self, theta, t: float) -> np.ndarray:
-        return self.forward_batch(theta, [t])[0]
+        return self.forward_batch(theta, [t])[..., 0, :]
 
     def forward_batch(self, theta, ts: np.ndarray) -> np.ndarray:
         """Controls (..., len(ts), 1) at a 1-D array of times."""
@@ -339,7 +335,7 @@ class SingleNeuron:
 class ConstantControl:
     """Bias-only controller u(t) = c, theta = c (one entry per control dim).
 
-    forward_batch and vjp take a (..., out_dim) theta, one row per run.
+    theta is (..., out_dim), one row per run.
     """
 
     out_dim: int = 1
@@ -352,7 +348,7 @@ class ConstantControl:
         return [(0, self.out_dim, True)]
 
     def forward(self, theta, t: float) -> np.ndarray:
-        return np.asarray(theta, dtype=np.float64).copy()
+        return self.forward_batch(theta, [t])[..., 0, :]
 
     def forward_batch(self, theta, ts: np.ndarray) -> np.ndarray:
         """Controls (..., len(ts), out_dim) at a 1-D array of times."""

@@ -23,14 +23,7 @@ import numpy as np
 
 from .dynamics import ControlProblem, Trajectory, control_energy, first_nonfinite
 from .gradients import LossSpec, bptt_grad, tbptt_grad
-from .linalg import DimensionError, SeededRng, check_count, row_dot
-from .nets import MlpSpec
-
-
-def check_eta(eta: float) -> None:
-    """Raise a ValueError unless eta is a positive step size."""
-    if eta <= 0.0:
-        raise ValueError(f"eta must be positive, got {eta}")
+from .linalg import DimensionError, SeededRng, check_count, check_positive, row_dot
 
 
 @dataclass(frozen=True)
@@ -40,7 +33,7 @@ class Sd:
     eta: float
 
     def __post_init__(self):
-        check_eta(self.eta)
+        check_positive("eta", self.eta)
 
 
 @dataclass(frozen=True)
@@ -53,11 +46,10 @@ class Adam:
     eps: float = 1e-8
 
     def __post_init__(self):
-        check_eta(self.eta)
+        check_positive("eta", self.eta)
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValueError("betas must lie in [0, 1)")
-        if self.eps <= 0.0:
-            raise ValueError("eps must be positive")
+        check_positive("eps", self.eps)
 
 
 def sd_step(theta: np.ndarray, grad: np.ndarray, eta: float) -> np.ndarray:
@@ -252,11 +244,11 @@ def train_runs(
     run keeps its own history, best theta and best trajectory, and a run
     whose gradient pass diverges freezes with the diverged_at and
     diverged_step it would get alone while the others go on. The gradient
-    layers see one run without a run axis and several with one; every
-    per-run product and reduction there is one BLAS call per run with the
-    arguments of the single call. More than one run needs bptt, no
-    recorder, and a controller whose forward_batch and vjp take a leading
-    run axis (SingleNeuron, ConstantControl; an MlpSpec's vjp takes one run).
+    layers always see the live runs' (R, P) rows, and every per-run product
+    and reduction there is one BLAS call per run with the arguments of a
+    single run's call. All runs share the optimizer, loss, protocol and seed
+    (so a tbptt population shares its truncation indices); the recorders
+    take one run.
     """
     check_count("epochs", epochs)
     if protocol.kind == "tbptt" and loss.integrated is not None:
@@ -272,12 +264,9 @@ def train_runs(
     if thetas.ndim != 2:
         raise DimensionError(f"thetas must have shape (runs, P), got {thetas.shape}")
     runs = thetas.shape[0]
-    if runs > 1 and (protocol.kind == "tbptt" or record_delta_u or record_energy_identity):
-        raise ValueError("a population of runs trains with bptt and no recorder; "
-                         "train tbptt and recorded runs one at a time")
-    if runs > 1 and isinstance(model, MlpSpec):
-        raise ValueError("an MlpSpec trains one run at a time: its vjp takes one "
-                         "run's theta")
+    if runs > 1 and (record_delta_u or record_energy_identity):
+        raise ValueError("a population of runs trains with no recorder; "
+                         "train recorded runs one at a time")
     coeffs = _scalar_linear_coeffs(problem)
     if record_delta_u and coeffs is None:
         raise ValueError("delta-u recorder needs a scalar linear-flow problem")
@@ -304,17 +293,16 @@ def train_runs(
             k_index = rng.integers(0, problem.steps)
         else:
             k_index = epoch % problem.steps
-        # a single live run goes through the gradient layers without a run axis
-        th = theta[0] if live.size == 1 else theta
         # overflow on a diverging iterate is routine; its loss, states and
-        # gradient come back non-finite in its own row (loss_n is a float for
-        # a single run, else one value per run)
+        # gradient come back non-finite in its own row (loss_n holds one
+        # value per live run)
         with np.errstate(over="ignore", invalid="ignore"):
             if protocol.kind == "bptt":
-                grad, loss_n, traj = bptt_grad(problem, model, th, loss)
+                grad, loss_n, traj = bptt_grad(problem, model, theta, loss)
             else:
-                grad, loss_n, traj = tbptt_grad(problem, model, th, k_index, protocol.variant)
-        steps = first_nonfinite(traj.states).reshape(-1)
+                grad, loss_n, traj = tbptt_grad(problem, model, theta, k_index,
+                                                protocol.variant)
+        steps = first_nonfinite(traj.states)
         bad = steps >= 0
         if bad.any():
             # the diverged runs stop at this iterate, which is not recorded
@@ -333,19 +321,16 @@ def train_runs(
             grad, loss_n = grad[~bad], loss_n[~bad]
             traj = Trajectory(traj.times, traj.states[~bad], traj.controls[~bad], dynamics=dyn)
 
-        grad = grad.reshape(theta.shape)
         loss_best, best_epoch, theta_best, best_states, best_controls = best
-        states = traj.states.reshape(best_states.shape)
-        controls = traj.controls.reshape(best_controls.shape)
         if epoch == 0:
             # until the loss first improves, the best trajectory is epoch 0's
-            best_states[...], best_controls[...] = states, controls
+            best_states[...], best_controls[...] = traj.states, traj.controls
         improved = loss_n < loss_best
         np.copyto(loss_best, loss_n, where=improved)
         np.copyto(best_epoch, epoch, where=improved)
         np.copyto(theta_best, theta, where=improved[:, None])
-        np.copyto(best_states, states, where=improved[:, None, None])
-        np.copyto(best_controls, controls, where=improved[:, None, None])
+        np.copyto(best_states, traj.states, where=improved[:, None, None])
+        np.copyto(best_controls, traj.controls, where=improved[:, None, None])
 
         # same guard as the gradient pass: the step itself can overflow on an
         # iterate whose next pass diverges
@@ -360,7 +345,7 @@ def train_runs(
         e_dot_l = math.nan
         cos_angle = math.nan
         if record_energy_identity:
-            e_grad = _energy_grad(problem, model, theta[0], traj)
+            e_grad = _energy_grad(problem, model, theta, traj)[0]
             e_dot_l = float(e_grad @ grad[0])
             denom = float(np.sqrt(e_grad @ e_grad)) * float(gnorm[0])
             cos_angle = e_dot_l / denom if denom > 0.0 else math.nan
@@ -373,7 +358,7 @@ def train_runs(
                                    problem.steps)
             if isinstance(optimizer, Sd):
                 dtheta = theta_next[0] - theta[0]
-                dl_dxt = float(traj.final_state()[0] - problem.x_star[0])
+                dl_dxt = float(traj.final_state()[0, 0] - problem.x_star[0])
                 if dl_dxt != 0.0:
                     ddu_pred = (
                         -(1.0 / optimizer.eta)

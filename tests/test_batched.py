@@ -13,12 +13,14 @@ after every step: the divergence step must match, and the states bit for
 bit with one control input (at 1e-12 with more).
 
 The population path (train_runs, a leading run axis through the nets, the
-scan and bptt_grad) must equal one train call per row bit for bit. It rests
-on one invariant of numpy's stacked matvec, checked here by name: row r of
-np.matmul(A, X[..., None]) is A @ X[r]. An MlpSpec forward over an (R, P)
-theta must equal R single calls bit for bit, for every activation and for
-layers up to 122 wide. Runs are derandomized, so a pass or a failure
-repeats exactly.
+scan, bptt_grad and tbptt_grad) must equal one train call per row bit for
+bit, and train, its one-run case, must equal a loop that passes one run's
+1-D theta through every layer. It rests on one invariant of numpy's stacked
+matvec, checked here by name: row r of np.matmul(A, X[..., None]) is
+A @ X[r]. Every controller's forward, forward_batch and vjp over an (..., P)
+theta must equal one call per run bit for bit, for every activation and
+for MLP layers up to 122 wide. Runs are derandomized, so a pass or a
+failure repeats exactly.
 """
 
 import dataclasses
@@ -58,7 +60,17 @@ from odecontrol.nets import (
     elu,
     leaky_relu,
 )
-from odecontrol.training import Adam, Protocol, Sd, train, train_runs
+from odecontrol.linalg import SeededRng
+from odecontrol.training import (
+    Adam,
+    AdamState,
+    Protocol,
+    Sd,
+    adam_step,
+    sd_step,
+    train,
+    train_runs,
+)
 
 RTOL = 1e-12
 ACTIVATIONS = [LINEAR, RELU, TANH, leaky_relu(0.1), elu()]
@@ -272,11 +284,29 @@ def check_population_forward(model, thetas, ts):
         assert np.array_equal(batch[r], model.forward_batch(thetas[r], ts))
 
 
+def check_population_vjp(model, thetas, ts):
+    """vjp over (..., P) thetas and (..., K, out) cotangents against one call
+    per run, bit for bit, for the K times and for the first alone."""
+    ybar = np.random.default_rng(ts.size).normal(
+        size=thetas.shape[:-1] + (ts.shape[0], model.out_dim))
+    grad = model.vjp(thetas, ts, ybar)
+    first = model.vjp(thetas, ts[0], ybar[..., 0, :])
+    assert grad.shape == first.shape == thetas.shape
+    for r in np.ndindex(thetas.shape[:-1]):
+        assert grad[r].tobytes() == model.vjp(thetas[r], ts, ybar[r]).tobytes()
+        assert first[r].tobytes() == model.vjp(thetas[r], ts[0], ybar[r][0]).tobytes()
+
+
 class TestMlpPopulationForward:
     @SETTINGS
     @given(mlp_populations())
     def test_rows_are_single_calls(self, case):
         check_population_forward(*case)
+
+    @SETTINGS
+    @given(mlp_populations())
+    def test_vjp_rows_are_single_calls(self, case):
+        check_population_vjp(*case)
 
     @pytest.mark.parametrize("act", ACTIVATIONS, ids=lambda a: a.kind)
     @pytest.mark.parametrize("use_bias", [True, False], ids=["bias", "no_bias"])
@@ -284,18 +314,50 @@ class TestMlpPopulationForward:
         model = MlpSpec((122, 122), activation=act, out_dim=2, use_bias=use_bias)
         rng = np.random.default_rng(4)
         thetas, ts = rng.normal(size=(40, model.n_params)), rng.uniform(0.0, 2.0, 100)
-        check_population_forward(model, thetas, ts)
-        check_population_forward(model, thetas[:6].reshape(2, 3, -1), ts)
+        for check in (check_population_forward, check_population_vjp):
+            check(model, thetas, ts)
+            check(model, thetas[:6].reshape(2, 3, -1), ts)
 
-    def test_vjp_takes_one_run(self):
+    def test_theta_width_checked(self):
         model = MlpSpec((3,), out_dim=2)
-        thetas = np.zeros((2, model.n_params))
-        with pytest.raises(DimensionError, match="one run's theta"):
-            model.vjp(thetas, np.zeros(4), np.zeros((2, 4, 2)))
-        with pytest.raises(DimensionError, match="one run's theta"):
+        thetas = np.zeros((2, model.n_params + 1))
+        with pytest.raises(DimensionError, match=r"\(\.\.\., P\) with P = 14"):
+            model.forward_batch(thetas, np.zeros(4))
+        with pytest.raises(DimensionError):
             model.forward(thetas, 0.5)
         with pytest.raises(DimensionError):
-            model.forward_batch(np.zeros((2, model.n_params + 1)), np.zeros(4))
+            model.vjp(thetas, np.zeros(4), np.zeros((2, 4, 2)))
+
+
+@st.composite
+def any_models(draw):
+    """An MlpSpec, a SingleNeuron or a ConstantControl."""
+    kind = draw(st.sampled_from(["mlp", "neuron", "constant"]))
+    if kind == "mlp":
+        return draw(mlps())
+    if kind == "neuron":
+        return SingleNeuron(draw(activations))
+    return ConstantControl(out_dim=draw(st.integers(1, 3)))
+
+
+class TestForwardRunAxis:
+    @SETTINGS
+    @given(any_models(), st.one_of(st.just(()), st.tuples(st.integers(1, 6)), st.just((2, 3))),
+           seeds)
+    def test_forward_is_forward_batch_at_one_time(self, model, runs, seed):
+        # forward(theta, t) is forward_batch(theta, [t])[..., 0, :] for every
+        # run shape, and each run's row is its own 1-D call
+        rng = np.random.default_rng(seed)
+        thetas, t = rng.normal(size=runs + (model.n_params,)), rng.uniform(0.0, 2.0)
+        got = model.forward(thetas, t)
+        assert got.shape == runs + (model.out_dim,)
+        assert got.tobytes() == model.forward_batch(thetas, [t])[..., 0, :].tobytes()
+        for r in np.ndindex(runs):
+            assert got[r].tobytes() == model.forward(thetas[r], t).tobytes()
+
+    def test_single_neuron_gives_every_run(self):
+        thetas = np.array([[2.0, 1.5], [1.0, 0.0], [-4.0, 1.0]])
+        assert SingleNeuron().forward(thetas, 0.5).tolist() == [[2.5], [0.5], [-1.0]]
 
 
 class TestSmallControllersBatched:
@@ -596,16 +658,18 @@ def assert_same_result(got, want):
                                   getattr(want.trajectory_best, name)), name
 
 
-def check_population(problem, model, thetas, optimizer, epochs, loss=LossSpec()):
+def check_population(problem, model, thetas, optimizer, epochs, loss=LossSpec(),
+                     protocol=Protocol(), seed=0):
     """train_runs against one train call per row, vjp counts included."""
+    kw = dict(loss=loss, protocol=protocol, seed=seed)
     with np.errstate(over="ignore", invalid="ignore"):
         reset_vjp_count()
-        got = train_runs(problem, model, thetas, optimizer, epochs, loss=loss)
+        got = train_runs(problem, model, thetas, optimizer, epochs, **kw)
         vjps = vjp_count()
         want, want_vjps = [], 0
         for theta in thetas:
             reset_vjp_count()
-            want.append(train(problem, model, theta, optimizer, epochs, loss=loss))
+            want.append(train(problem, model, theta, optimizer, epochs, **kw))
             want_vjps += vjp_count()
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -619,25 +683,33 @@ def check_population(problem, model, thetas, optimizer, epochs, loss=LossSpec())
 theta_scales = st.sampled_from([1e-3, 1.0, 1e3, 1e100, 1e150, 1e200, 1e250, 1e300])
 
 
+PROTOCOLS = [Protocol()] + [Protocol("tbptt", variant, schedule)
+                             for variant in ("propagated", "frozen")
+                             for schedule in ("cyclic", "random")]
+
+
 @st.composite
 def populations(draw):
-    """A shipped problem, a small controller, up to six theta rows of mixed
-    scale (the large ones overflow at different epochs) and an optimizer."""
+    """A shipped problem, a small controller or MLP, up to six theta rows of
+    mixed scale (the large ones overflow at different epochs), an optimizer,
+    and bptt or a tbptt protocol with the seed its runs share."""
     problem = PROBLEMS[draw(st.sampled_from(sorted(PROBLEMS)))](draw(st.integers(2, 30)))
-    model = draw(st.sampled_from(SMALL_MODELS))
+    model = draw(st.one_of(st.sampled_from(SMALL_MODELS), mlps(max_out=1)))
     runs = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(seeds))
     row_scales = [draw(theta_scales) for _ in range(runs)]
     thetas = np.array(row_scales)[:, None] * rng.normal(size=(runs, model.n_params))
     optimizer = draw(st.sampled_from([Adam(0.1), Sd(0.1), Sd(1e6), Sd(1e6)]))
-    return problem, model, thetas, optimizer
+    return (problem, model, thetas, optimizer, draw(st.sampled_from(PROTOCOLS)),
+            draw(st.integers(0, 2**16)))
 
 
 class TestPopulationTraining:
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(populations())
     def test_each_run_equals_its_own_train(self, case):
-        check_population(*case, epochs=30)
+        problem, model, thetas, optimizer, protocol, seed = case
+        check_population(problem, model, thetas, optimizer, 30, protocol=protocol, seed=seed)
 
     @pytest.mark.parametrize("name", sorted(PROBLEMS))
     @pytest.mark.parametrize("model", SMALL_MODELS, ids=model_id)
@@ -698,35 +770,29 @@ class TestPopulationTraining:
         check_population(particle_problem(25), SingleNeuron(elu()), rng.normal(size=(4, 2)),
                          Adam(0.05), 20, loss=loss)
 
+    @pytest.mark.parametrize("protocol", PROTOCOLS,
+                             ids=lambda p: f"{p.kind}-{p.variant}-{p.schedule}")
+    def test_mlp_run_diverges_alone(self, protocol):
+        # one row of four overflows at an epoch after 0 while the others go on
+        model = MlpSpec((5, 4), activation=elu())
+        thetas = 0.5 * np.random.default_rng(8).normal(size=(4, model.n_params))
+        thetas[2] *= 30.0
+        want = check_population(flow2d_problem(20), model, thetas, Sd(0.05), 40,
+                                protocol=protocol, seed=3)
+        assert [w.diverged for w in want] == [False, False, True, False]
+        assert want[2].diverged_at > 0
+
     def test_more_than_one_run_rejects_what_it_does_not_batch(self):
         problem, thetas = constant_problem(10), np.zeros((2, 2))
         model = SingleNeuron(RELU)
-        with pytest.raises(ValueError, match="bptt and no recorder"):
-            train_runs(problem, model, thetas, Sd(0.1), 3, protocol=Protocol("tbptt"))
-        with pytest.raises(ValueError, match="bptt and no recorder"):
+        with pytest.raises(ValueError, match="no recorder"):
             train_runs(problem, model, thetas, Sd(0.1), 3, record_delta_u=True)
-        with pytest.raises(ValueError, match="bptt and no recorder"):
+        with pytest.raises(ValueError, match="no recorder"):
             train_runs(problem, model, thetas, Sd(0.1), 3, record_energy_identity=True)
-        with pytest.raises(ValueError, match="one run's theta"):
-            mlp = MlpSpec((3,))
-            train_runs(problem, mlp, np.zeros((2, mlp.n_params)), Sd(0.1), 3)
         with pytest.raises(ValueError, match="unknown optimizer"):
             train_runs(problem, model, thetas, [Sd(0.1), Sd(0.2)], 3)
         with pytest.raises(ValueError, match="one LossSpec"):
             train_runs(problem, model, thetas, Sd(0.1), 3, loss=[LossSpec(), LossSpec()])
-        with pytest.raises(ValueError, match="tbptt_grad takes one run"):
-            tbptt_grad(problem, model, thetas, 0)
-
-    def test_mlp_population_is_rejected_up_front(self, monkeypatch):
-        # an MlpSpec's forward takes a population, so the rejection must come
-        # before the first rollout, not from the vjp after it
-        def no_forward(*args):
-            raise AssertionError("the population reached the forward")
-
-        monkeypatch.setattr(MlpSpec, "forward_batch", no_forward)
-        mlp = MlpSpec((3,))
-        with pytest.raises(ValueError, match="its vjp takes one run's theta"):
-            train_runs(constant_problem(10), mlp, np.zeros((2, mlp.n_params)), Sd(0.1), 3)
 
     def test_one_run_may_use_tbptt_and_recorders(self):
         problem = constant_problem(10)
@@ -735,3 +801,94 @@ class TestPopulationTraining:
         want = train(problem, SingleNeuron(), np.array([0.3, 0.2]), Sd(0.1), 5,
                      protocol=Protocol("tbptt"), record_delta_u=True)
         assert_same_result(got[0], want)
+
+
+# -- train against a loop without the run axis --------------------------------
+
+
+def loop_train(problem, model, theta0, optimizer, epochs, protocol, seed):
+    """train's epoch loop for one run, passing its 1-D theta through
+    bptt_grad or tbptt_grad and sd_step or adam_step, so that no layer sees
+    a run axis. Returns the fields of the TrainResult it should equal."""
+    rng = SeededRng(seed)
+    theta = np.asarray(theta0, dtype=np.float64)
+    state = AdamState.zeros(theta.shape)
+    history = {"loss": [], "energy": [], "grad_norm": []}
+    loss_best, best_epoch, theta_best, traj_best = np.inf, -1, theta, None
+    diverged_at = diverged_step = None
+    for epoch in range(epochs):
+        if protocol.kind == "tbptt" and protocol.schedule == "random":
+            k_index = rng.integers(0, problem.steps)
+        else:
+            k_index = epoch % problem.steps
+        with np.errstate(over="ignore", invalid="ignore"):
+            if protocol.kind == "bptt":
+                grad, loss, traj = bptt_grad(problem, model, theta)
+            else:
+                grad, loss, traj = tbptt_grad(problem, model, theta, k_index, protocol.variant)
+            step = int(first_nonfinite(traj.states))
+            if step >= 0:
+                diverged_at, diverged_step = epoch, step
+                break
+            if epoch == 0:
+                traj_best = traj
+            if loss < loss_best:
+                loss_best, best_epoch, theta_best, traj_best = loss, epoch, theta, traj
+            history["loss"].append(loss)
+            history["energy"].append(dynamics.control_energy(traj))
+            history["grad_norm"].append(float(np.sqrt(grad @ grad)))
+            if isinstance(optimizer, Sd):
+                theta = sd_step(theta, grad, optimizer.eta)
+            else:
+                state, theta = adam_step(state, theta, grad, optimizer)
+    return dict(history=history, theta_best=theta_best, loss_best=loss_best,
+                best_epoch=best_epoch, theta_final=theta, trajectory_best=traj_best,
+                diverged_at=diverged_at, diverged_step=diverged_step)
+
+
+def check_against_loop(problem, model, theta0, optimizer, epochs, protocol, seed=5):
+    """Every field of train's result against loop_train's, bit for bit."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = train(problem, model, theta0, optimizer, epochs, protocol=protocol, seed=seed)
+    want = loop_train(problem, model, theta0, optimizer, epochs, protocol, seed)
+    for name, series in want["history"].items():
+        assert np.asarray(getattr(got.history, name)).tobytes() == \
+            np.asarray(series, dtype=np.float64).tobytes(), name
+    assert got.history.epochs == list(range(len(want["history"]["loss"])))
+    for name in ("theta_best", "theta_final"):
+        assert getattr(got, name).tobytes() == want[name].tobytes(), name
+    for name in ("loss_best", "best_epoch", "diverged_at", "diverged_step"):
+        assert getattr(got, name) == want[name], name
+    assert got.diverged == (want["diverged_at"] is not None)
+    if want["trajectory_best"] is None:
+        assert got.trajectory_best is None
+    else:
+        for name in ("states", "controls"):
+            assert getattr(got.trajectory_best, name).tobytes() == \
+                getattr(want["trajectory_best"], name).tobytes(), name
+    return got
+
+
+class TestTrainAgainstOneRunLoop:
+    """train is train_runs at R = 1, so its run-axis path is checked against
+    a loop that never builds a run axis."""
+
+    @pytest.mark.parametrize("name", sorted(PROBLEMS))
+    @pytest.mark.parametrize("protocol", PROTOCOLS[:1] + PROTOCOLS[2:4],
+                             ids=lambda p: f"{p.kind}-{p.variant}-{p.schedule}")
+    @pytest.mark.parametrize("optimizer", [Sd(2e-3), Adam(5e-3)], ids=["sd", "adam"])
+    def test_mlp_equals_loop(self, name, protocol, optimizer):
+        model = MlpSpec((6, 5), activation=TANH)
+        theta0 = 0.5 * np.random.default_rng(len(name)).normal(size=model.n_params)
+        got = check_against_loop(PROBLEMS[name](30), model, theta0, optimizer, 25, protocol)
+        assert not got.diverged and got.best_epoch > 0
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS,
+                             ids=lambda p: f"{p.kind}-{p.variant}-{p.schedule}")
+    def test_diverging_mlp_equals_loop(self, protocol):
+        # the diverging row of test_mlp_run_diverges_alone, trained alone
+        model = MlpSpec((5, 4), activation=elu())
+        theta0 = 15.0 * np.random.default_rng(8).normal(size=(4, model.n_params))[2]
+        got = check_against_loop(flow2d_problem(20), model, theta0, Sd(0.05), 40, protocol,
+                                 seed=3)
+        assert got.diverged_at > 0 and got.diverged_step >= 0

@@ -47,6 +47,11 @@ class TestProblemSetup:
         with pytest.raises(ValueError):
             ControlProblem(integrator(), [0.0], [1.0], 1.0, 0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_horizon_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="^T must be"):
+            ControlProblem(integrator(), [0.0], [1.0], bad, 10)
+
     def test_dynamics_must_be_linear(self):
         with pytest.raises(TypeError):
             ControlProblem(object(), [0.0], [1.0], 1.0, 10)

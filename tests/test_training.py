@@ -87,6 +87,21 @@ class TestOptimizerSteps:
         with pytest.raises(ValueError):
             Protocol("tbptt", schedule="sorted")
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_sd_eta_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="^eta must be"):
+            Sd(bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_adam_eta_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="^eta must be"):
+            Adam(bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0], ids=["nan", "inf", "zero"])
+    def test_adam_eps_must_be_finite_and_positive(self, bad):
+        with pytest.raises(ValueError, match="^eps must be"):
+            Adam(1e-3, eps=bad)
+
 
 class TestTrainLoop:
     def test_bias_only_converges_to_oracle(self):
