@@ -15,8 +15,7 @@ first_nonfinite names the same first bad step.
 
 Divergence is returned, not raised: a run that leaves the finite range
 keeps its inf or NaN states in its own rows, and first_nonfinite finds its
-first bad step. Only integrate_euler, the single-run simulator, raises
-DivergenceError.
+first bad step.
 """
 
 from __future__ import annotations
@@ -26,14 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import DimensionError, as_matrix, as_vector, check_count, check_positive, row_dot
-
-
-class DivergenceError(RuntimeError):
-    """integrate_euler's state left the finite range; `step` says where."""
-
-    def __init__(self, step: int):
-        super().__init__(f"trajectory diverged at step {step}")
-        self.step = int(step)
 
 
 def frozen_finite(a: np.ndarray, name: str) -> np.ndarray:
@@ -256,37 +247,29 @@ def run_major(a: np.ndarray) -> np.ndarray:
 
 
 def integrate_euler(problem: ControlProblem, controller) -> Trajectory:
-    """Forward Euler with left-endpoint control sampling, for one run.
+    """Forward Euler with left-endpoint control sampling.
 
-    controller is a callable t -> (m,) control vector, which is sampled at
-    t_0..t_{K-1} before the scan, or those K controls already sampled as a
-    (K, m) array. The scan is euler_states; this is the one place that
-    raises DivergenceError, carrying the first step whose state is not
-    finite (see first_nonfinite).
+    controller is the (..., K, m) controls on t_0..t_{K-1}, leading axes
+    being runs, or a callable t -> (m,) control vector for one run, sampled
+    at those times before the scan. The scan is euler_states, so a run that
+    diverges keeps its inf and NaN states (see first_nonfinite).
     """
     dyn = problem.dynamics
-    k_steps = problem.steps
     times = problem.times()
-    m = dyn.m
     if callable(controller):
-        controller = [np.asarray(controller(t), dtype=np.float64).reshape(m) for t in times[:-1]]
-    controls = np.array(controller, dtype=np.float64)
-    if controls.shape != (k_steps, m):
-        raise DimensionError(f"controls must have shape ({k_steps}, {m}), got {controls.shape}")
-    states = euler_states(problem, controls)
-    step = first_nonfinite(states)
-    if step >= 0:
-        raise DivergenceError(step)
-    return Trajectory(times, states, controls, dynamics=dyn)
+        controller = [np.asarray(controller(t), dtype=np.float64).reshape(dyn.m)
+                      for t in times[:-1]]
+    controls = np.asarray(controller, dtype=np.float64)
+    if controls.shape[-2:] != (problem.steps, dyn.m):
+        raise DimensionError(f"controls must have shape (..., {problem.steps}, {dyn.m}), "
+                             f"got {controls.shape}")
+    return Trajectory(times, euler_states(problem, controls), controls, dynamics=dyn)
 
 
 def rollout(problem: ControlProblem, model, theta) -> Trajectory:
     """Euler trajectory of a controller at theta, sampled once with
-    forward_batch; a (..., P) theta gives the population's trajectory. A run
-    that diverges keeps its non-finite states (see first_nonfinite)."""
-    controls = model.forward_batch(theta, problem.times()[:-1])
-    return Trajectory(problem.times(), euler_states(problem, controls), controls,
-                      dynamics=problem.dynamics)
+    forward_batch; a (..., P) theta gives the population's trajectory."""
+    return integrate_euler(problem, model.forward_batch(theta, problem.times()[:-1]))
 
 
 def _per_run(value):

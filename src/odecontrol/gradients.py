@@ -67,6 +67,7 @@ class LossSpec:
 
     integrated is None (pure steering), "energy" (J += mu * E) or "work"
     (J += mu * W, moving-particle only). The terminal term is always on.
+    An integrated cost needs a finite mu >= 0.
     """
 
     integrated: str | None = None
@@ -77,6 +78,8 @@ class LossSpec:
             raise ValueError(f"unknown integrated cost {self.integrated!r}")
         if self.integrated is not None and not self.mu >= 0.0:
             raise ValueError(f"mu must be >= 0, got {self.mu}")
+        if self.integrated is not None and self.mu == math.inf:
+            raise ValueError(f"mu must be finite, got {self.mu}")
 
     @staticmethod
     def terminal() -> "LossSpec":

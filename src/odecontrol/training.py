@@ -171,16 +171,17 @@ class TrainResult:
 
 
 def delta_u_weighted(model, theta_prev, theta_next, a: float, horizon: float,
-                     steps: int) -> float:
+                     steps: int):
     """Exponentially weighted control change int_0^T (u_next - u_prev) e^{-at} dt.
 
     Left Riemann sum on `steps` panels, matching the solver convention.
-    Scalar controls only.
+    Scalar controls only. (..., P) thetas give one value per run, each its
+    own 1-D call's bits (see row_dot).
     """
     ts = np.arange(steps) * (horizon / steps)
     w = np.exp(-a * ts)
-    du = model.forward_batch(theta_next, ts)[:, 0] - model.forward_batch(theta_prev, ts)[:, 0]
-    return float((horizon / steps) * (w @ du))
+    du = (model.forward_batch(theta_next, ts) - model.forward_batch(theta_prev, ts))[..., 0]
+    return (horizon / steps) * row_dot(du, w)
 
 
 def _scalar_linear_coeffs(problem: ControlProblem):
@@ -189,12 +190,6 @@ def _scalar_linear_coeffs(problem: ControlProblem):
     if dyn.A.shape != (1, 1) or dyn.B.shape != (1, 1):
         return None
     return float(dyn.A[0, 0]), float(dyn.B[0, 0])
-
-
-def _energy_grad(problem: ControlProblem, model, theta, traj) -> np.ndarray:
-    """Gradient of E = 1/2 dt sum ||u_k||^2 in parameter space: one batched
-    pullback of dt * U."""
-    return model.vjp(theta, traj.times[:-1], problem.dt * traj.controls)
 
 
 def train(
@@ -246,9 +241,9 @@ def train_runs(
     diverged_step it would get alone while the others go on. The gradient
     layers always see the live runs' (R, P) rows, and every per-run product
     and reduction there is one BLAS call per run with the arguments of a
-    single run's call. All runs share the optimizer, loss, protocol and seed
-    (so a tbptt population shares its truncation indices); the recorders
-    take one run.
+    single run's call, the recorders' included. All runs share the
+    optimizer, loss, protocol and seed (so a tbptt population shares its
+    truncation indices).
     """
     check_count("epochs", epochs)
     if protocol.kind == "tbptt" and loss.integrated is not None:
@@ -264,9 +259,6 @@ def train_runs(
     if thetas.ndim != 2:
         raise DimensionError(f"thetas must have shape (runs, P), got {thetas.shape}")
     runs = thetas.shape[0]
-    if runs > 1 and (record_delta_u or record_energy_identity):
-        raise ValueError("a population of runs trains with no recorder; "
-                         "train recorded runs one at a time")
     coeffs = _scalar_linear_coeffs(problem)
     if record_delta_u and coeffs is None:
         raise ValueError("delta-u recorder needs a scalar linear-flow problem")
@@ -342,38 +334,31 @@ def train_runs(
             else:
                 adam_state, theta_next = adam_step(adam_state, theta, grad, optimizer)
 
-        e_dot_l = math.nan
-        cos_angle = math.nan
-        if record_energy_identity:
-            e_grad = _energy_grad(problem, model, theta, traj)[0]
-            e_dot_l = float(e_grad @ grad[0])
-            denom = float(np.sqrt(e_grad @ e_grad)) * float(gnorm[0])
-            cos_angle = e_dot_l / denom if denom > 0.0 else math.nan
-
-        ddu = math.nan
-        ddu_pred = math.nan
-        if record_delta_u:
-            a, b = coeffs
-            ddu = delta_u_weighted(model, theta[0], theta_next[0], a, problem.T,
-                                   problem.steps)
-            if isinstance(optimizer, Sd):
-                dtheta = theta_next[0] - theta[0]
-                dl_dxt = float(traj.final_state()[0, 0] - problem.x_star[0])
-                if dl_dxt != 0.0:
-                    ddu_pred = (
-                        -(1.0 / optimizer.eta)
-                        * (1.0 / b)
-                        * math.exp(-a * problem.T)
-                        * float(dtheta @ dtheta)
-                        / dl_dxt
-                    )
-
         row = columns[epoch]
         # a slice while every run is live
         rows = slice(None) if live.size == runs else live
         row[rows, 0], row[rows, 1], row[rows, 2] = loss_n, energy_n, gnorm
-        if record_delta_u or record_energy_identity:
-            row[0, 3:] = ddu, ddu_pred, e_dot_l, cos_angle
+        # each recorder value is its run's scalar formula in the same order,
+        # on the live rows; np.where computes both branches and an iterate
+        # near overflow is routine, so none of this warns
+        with np.errstate(all="ignore"):
+            if record_delta_u:
+                a, b = coeffs
+                row[rows, 3] = delta_u_weighted(model, theta, theta_next, a, problem.T,
+                                                problem.steps)
+                if isinstance(optimizer, Sd):
+                    dtheta = theta_next - theta
+                    dl_dxt = traj.final_state()[:, 0] - problem.x_star[0]
+                    pred = (-(1.0 / optimizer.eta) * (1.0 / b) * math.exp(-a * problem.T)
+                            * row_dot(dtheta, dtheta) / dl_dxt)
+                    row[rows, 4] = np.where(dl_dxt != 0.0, pred, math.nan)
+            if record_energy_identity:
+                # grad E = one batched pullback of dt * U
+                e_grad = model.vjp(theta, traj.times[:-1], problem.dt * traj.controls)
+                e_dot_l = row_dot(e_grad, grad)
+                denom = np.sqrt(row_dot(e_grad, e_grad)) * gnorm
+                row[rows, 5] = e_dot_l
+                row[rows, 6] = np.where(denom > 0.0, e_dot_l / denom, math.nan)
         theta = theta_next
     for done, row in zip(final, best + [theta]):
         done[live] = row

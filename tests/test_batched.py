@@ -33,7 +33,6 @@ from hypothesis import strategies as st
 from odecontrol import dynamics, training
 from odecontrol.dynamics import (
     ControlProblem,
-    DivergenceError,
     LinearDynamics,
     MovingParticleDynamics,
     euler_states,
@@ -383,23 +382,55 @@ class TestSmallControllersBatched:
 
 def check_scan_against_reference(problem, u):
     """integrate_euler and first_nonfinite against ref_euler: the same first
-    bad step, and the same bytes at m = 1."""
+    bad step, and the same bytes at m = 1 up to it."""
     want, step = ref_euler(problem, u)
     assert first_nonfinite(euler_states(problem, u)) == (-1 if step is None else step)
-    try:
-        got = integrate_euler(problem, u).states
-    except DivergenceError as err:
-        assert err.step == step
-    else:
-        assert step is None
-        if u.shape[1] == 1:  # bytes, so that -0 and +0 differ
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
-        else:  # B u_k is one row of U B^T, not a per-step B @ u_k
-            scale = np.abs(want).max() or 1.0  # keeps the norms finite
-            assert_close(got / scale, want / scale)
+    got = integrate_euler(problem, u).states
+    assert first_nonfinite(got) == (-1 if step is None else step)
+    got = got[:len(want)]
+    if u.shape[1] == 1:  # bytes, so that -0 and +0 differ
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    else:  # B u_k is one row of U B^T, not a per-step B @ u_k
+        scale = np.abs(want).max() or 1.0  # keeps the norms finite
+        assert_close(got / scale, want / scale)
+
+
+@st.composite
+def euler_populations(draw):
+    """A linear_runs problem and a run axis of controls, one row of which
+    has an inf or NaN entry."""
+    problem, _ = draw(linear_runs(driftless=draw(st.booleans())))
+    k, m = problem.steps, problem.dynamics.m
+    lead = draw(st.sampled_from([(2,), (5,), (2, 3)]))
+    u = draw(scales) * np.random.default_rng(draw(seeds)).normal(size=lead + (k, m))
+    bad = tuple(draw(st.integers(0, n - 1)) for n in lead)
+    u[bad + (draw(st.integers(0, k - 1)), draw(st.integers(0, m - 1)))] = \
+        draw(st.sampled_from([np.inf, -np.inf, np.nan]))
+    return problem, u
 
 
 class TestEulerOnSampledControls:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(euler_populations())
+    def test_runs_are_single_calls(self, case):
+        # each row of a run-axis call is its own call's values, the finite
+        # ones bit for bit, and first_nonfinite gives each row the per-step
+        # reference's step; a NaN's sign bit may differ, as the stacked and
+        # the single BLAS call may make it from different operations
+        problem, u = case
+        traj = integrate_euler(problem, u)
+        steps = first_nonfinite(traj.states)
+        assert traj.states.shape == u.shape[:-2] + (problem.steps + 1, problem.dynamics.n)
+        assert steps.shape == u.shape[:-2] and (steps >= 0).any()
+        for r in np.ndindex(u.shape[:-2]):
+            one = integrate_euler(problem, u[r])
+            assert traj.controls[r].tobytes() == one.controls.tobytes()
+            step = ref_euler(problem, u[r])[1]
+            assert steps[r] == first_nonfinite(one.states) == (-1 if step is None else step)
+            finite = problem.steps + 1 if step is None else step + 1
+            assert traj.states[r][:finite].tobytes() == one.states[:finite].tobytes()
+            assert np.array_equal(traj.states[r], one.states, equal_nan=True)
+
     @SETTINGS
     @given(st.sampled_from(sorted(PROBLEMS)), st.integers(1, 40), seeds)
     def test_array_path_is_bit_identical(self, name, steps, seed):
@@ -418,9 +449,8 @@ class TestEulerOnSampledControls:
         u[7] = np.inf
         for problem in (time_dependent_problem(20), constant_problem(20)):
             for controller in (u, lambda t: u[int(round(t / problem.dt))]):
-                with pytest.raises(DivergenceError) as info:
-                    integrate_euler(problem, controller)
-                assert info.value.step == 7
+                traj = integrate_euler(problem, controller)
+                assert first_nonfinite(traj.states) == 7
 
     def test_prefix_sum_step_starts_from_plus_zero(self, monkeypatch):
         # numpy's U B^T sums from +0, so it never returns -0; a product that
@@ -659,9 +689,10 @@ def assert_same_result(got, want):
 
 
 def check_population(problem, model, thetas, optimizer, epochs, loss=LossSpec(),
-                     protocol=Protocol(), seed=0):
-    """train_runs against one train call per row, vjp counts included."""
-    kw = dict(loss=loss, protocol=protocol, seed=seed)
+                     protocol=Protocol(), seed=0, **recorders):
+    """train_runs against one train call per row, vjp counts included;
+    recorders are train's record_* flags."""
+    kw = dict(loss=loss, protocol=protocol, seed=seed, **recorders)
     with np.errstate(over="ignore", invalid="ignore"):
         reset_vjp_count()
         got = train_runs(problem, model, thetas, optimizer, epochs, **kw)
@@ -692,7 +723,8 @@ PROTOCOLS = [Protocol()] + [Protocol("tbptt", variant, schedule)
 def populations(draw):
     """A shipped problem, a small controller or MLP, up to six theta rows of
     mixed scale (the large ones overflow at different epochs), an optimizer,
-    and bptt or a tbptt protocol with the seed its runs share."""
+    bptt or a tbptt protocol with the seed its runs share, and the
+    recorders (delta-u on the scalar linear flows only)."""
     problem = PROBLEMS[draw(st.sampled_from(sorted(PROBLEMS)))](draw(st.integers(2, 30)))
     model = draw(st.one_of(st.sampled_from(SMALL_MODELS), mlps(max_out=1)))
     runs = draw(st.integers(1, 6))
@@ -700,16 +732,19 @@ def populations(draw):
     row_scales = [draw(theta_scales) for _ in range(runs)]
     thetas = np.array(row_scales)[:, None] * rng.normal(size=(runs, model.n_params))
     optimizer = draw(st.sampled_from([Adam(0.1), Sd(0.1), Sd(1e6), Sd(1e6)]))
+    recorders = dict(record_delta_u=problem.dynamics.n == 1 and draw(st.booleans()),
+                     record_energy_identity=draw(st.booleans()))
     return (problem, model, thetas, optimizer, draw(st.sampled_from(PROTOCOLS)),
-            draw(st.integers(0, 2**16)))
+            draw(st.integers(0, 2**16)), recorders)
 
 
 class TestPopulationTraining:
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(populations())
     def test_each_run_equals_its_own_train(self, case):
-        problem, model, thetas, optimizer, protocol, seed = case
-        check_population(problem, model, thetas, optimizer, 30, protocol=protocol, seed=seed)
+        problem, model, thetas, optimizer, protocol, seed, recorders = case
+        check_population(problem, model, thetas, optimizer, 30, protocol=protocol, seed=seed,
+                         **recorders)
 
     @pytest.mark.parametrize("name", sorted(PROBLEMS))
     @pytest.mark.parametrize("model", SMALL_MODELS, ids=model_id)
@@ -782,13 +817,26 @@ class TestPopulationTraining:
         assert [w.diverged for w in want] == [False, False, True, False]
         assert want[2].diverged_at > 0
 
+    @pytest.mark.parametrize("name", ["constant", "time_dependent"])
+    @pytest.mark.parametrize("optimizer, scale", [(Sd(0.05), 30.0), (Adam(0.05), 1e100)],
+                             ids=["sd", "adam"])
+    def test_recorded_run_diverges_alone(self, name, optimizer, scale):
+        # both recorders on four MLP runs of a scalar linear flow, one of
+        # which overflows after epoch 0 while the others record every epoch
+        model = MlpSpec((5, 4), activation=elu())
+        thetas = 0.5 * np.random.default_rng(8).normal(size=(4, model.n_params))
+        thetas[2] *= scale
+        want = check_population(PROBLEMS[name](20), model, thetas, optimizer, 40,
+                                record_delta_u=True, record_energy_identity=True)
+        assert [w.diverged for w in want] == [False, False, True, False]
+        assert want[2].diverged_at > 0
+        for w in want[:2] + want[3:]:
+            assert np.isfinite(w.history.delta_u_direct).all()
+            assert np.isfinite(w.history.e_dot_l).all()
+
     def test_more_than_one_run_rejects_what_it_does_not_batch(self):
         problem, thetas = constant_problem(10), np.zeros((2, 2))
         model = SingleNeuron(RELU)
-        with pytest.raises(ValueError, match="no recorder"):
-            train_runs(problem, model, thetas, Sd(0.1), 3, record_delta_u=True)
-        with pytest.raises(ValueError, match="no recorder"):
-            train_runs(problem, model, thetas, Sd(0.1), 3, record_energy_identity=True)
         with pytest.raises(ValueError, match="unknown optimizer"):
             train_runs(problem, model, thetas, [Sd(0.1), Sd(0.2)], 3)
         with pytest.raises(ValueError, match="one LossSpec"):

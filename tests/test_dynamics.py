@@ -9,11 +9,11 @@ import pytest
 
 from odecontrol.dynamics import (
     ControlProblem,
-    DivergenceError,
     LinearDynamics,
     MovingParticleDynamics,
     Trajectory,
     control_energy,
+    first_nonfinite,
     integrate_euler,
     integrator,
     mse_control,
@@ -142,12 +142,13 @@ class TestEuler:
             x = x + dt * np.array([x[0] + 2.0, x[0]])
             np.testing.assert_allclose(traj.states[k + 1], x, rtol=1e-15)
 
-    def test_divergence_raises_with_step(self):
+    def test_divergence_step_is_returned(self):
         p = ControlProblem(scalar_linear(1e6, 1.0), [1.0], [0.0], 1.0, 200)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(DivergenceError) as info:
-                integrate_euler(p, zero_control)
-        assert 0 < info.value.step < 200
+        traj = integrate_euler(p, zero_control)
+        step = first_nonfinite(traj.states)
+        assert 0 < step < 200
+        assert np.isfinite(traj.states[:step + 1]).all()
+        assert not np.isfinite(traj.states[step + 1:]).any()
 
     def test_moving_particle_stationary_solution(self):
         # u = 1 keeps v = 1 exactly in the discrete recursion too
@@ -167,6 +168,7 @@ class TestFunctionals:
         # E = 1/2 dt sum c^2 = 1/2 c^2 T for constant c
         p = ControlProblem(integrator(), [0.0], [1.0], 2.0, 37)
         traj = integrate_euler(p, lambda t: np.array([-1.5]))
+        assert first_nonfinite(traj.states) == -1
         assert control_energy(traj) == pytest.approx(0.5 * 1.5**2 * 2.0, rel=1e-12)
 
     def test_energy_left_riemann_convergence(self):
@@ -174,6 +176,7 @@ class TestFunctionals:
         def energy_at(k):
             p = ControlProblem(integrator(), [0.0], [1.0], 1.0, k)
             traj = integrate_euler(p, lambda t: np.array([t]))
+            assert first_nonfinite(traj.states) == -1
             return control_energy(traj)
 
         e1 = abs(energy_at(1000) - 1.0 / 6.0)
@@ -196,6 +199,7 @@ class TestFunctionals:
     def test_work_needs_particle_trajectory(self):
         p = ControlProblem(integrator(), [0.0], [1.0], 1.0, 10)
         traj = integrate_euler(p, zero_control)
+        assert first_nonfinite(traj.states) == -1
         with pytest.raises(ValueError):
             work_functional(traj)
 
@@ -284,6 +288,7 @@ class TestTrajectoryCsv:
     def test_multidim_header(self):
         p = ControlProblem(MovingParticleDynamics(), [0.0, 1.0], [1.0, 1.0], 1.0, 2)
         traj = integrate_euler(p, lambda t: np.array([1.0]))
+        assert first_nonfinite(traj.states) == -1
         header = trajectory_csv(traj).splitlines()[0]
         assert header == "t,x1,x2,u1"
 
@@ -296,11 +301,13 @@ class TestParticleConstraints:
     def test_clean_run_reports_nothing(self):
         p = ControlProblem(MovingParticleDynamics(), [0.0, 1.0], [1.0, 1.0], 1.0, 50)
         traj = integrate_euler(p, lambda t: np.array([1.0]))
+        assert first_nonfinite(traj.states) == -1
         assert validate_particle_constraints(traj) == []
 
     def test_control_bound_violations_reported(self):
         p = ControlProblem(MovingParticleDynamics(), [0.0, 1.0], [1.0, 1.0], 1.0, 10)
         traj = integrate_euler(p, lambda t: np.array([3.0]))
+        assert first_nonfinite(traj.states) == -1
         msgs = validate_particle_constraints(traj)
         assert len(msgs) == 10
         assert all("u = 3" in m for _, m in msgs)
@@ -308,5 +315,6 @@ class TestParticleConstraints:
     def test_negative_velocity_reported(self):
         p = ControlProblem(MovingParticleDynamics(), [0.0, -0.5], [1.0, 1.0], 1.0, 5)
         traj = integrate_euler(p, lambda t: np.array([0.0]))
+        assert first_nonfinite(traj.states) == -1
         msgs = validate_particle_constraints(traj)
         assert any("v = " in m for _, m in msgs)

@@ -183,6 +183,15 @@ class TestLossSpec:
         with pytest.raises(ValueError):
             LossSpec.energy(-0.1)
 
+    @pytest.mark.parametrize("cost", [LossSpec.energy, LossSpec.work])
+    def test_mu_must_be_finite(self, cost):
+        with pytest.raises(ValueError, match="mu must be finite, got inf"):
+            cost(np.inf)
+        for bad in (np.nan, -np.inf, -0.1):
+            with pytest.raises(ValueError, match="mu must be >= 0"):
+                cost(bad)
+        assert cost(0.0).mu == 0.0 and cost(2.5).mu == 2.5
+
     def test_terminal_plus_energy_value(self):
         problem = PROBLEMS["integrator"]
         model = SingleNeuron(LINEAR)
