@@ -13,6 +13,12 @@ onto x0 in time order (a pairwise sum would round differently). A state
 that is inf or NaN stays non-finite in every later step on both paths, so
 first_nonfinite names the same first bad step.
 
+The per-step scans (the Euler scan here, the adjoint scans in gradients)
+pick their product with linalg.scan_product: a buffer holding one run with
+n >= 2 steps its (n, 1) columns with np.dot, the BLAS gemv of the stacked
+np.matmul with less dispatch, and n = 1 keeps np.matmul, whose +0 np.dot
+would return as -0. dt is a 0-d array bound once per scan.
+
 Divergence is returned, not raised: a run that leaves the finite range
 keeps its inf or NaN states in its own rows, and first_nonfinite finds its
 first bad step.
@@ -24,7 +30,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DimensionError, as_matrix, as_vector, check_count, check_positive, row_dot
+from .linalg import (
+    DimensionError,
+    as_matrix,
+    as_vector,
+    check_count,
+    check_positive,
+    row_dot,
+    scan_product,
+)
 
 
 def frozen_finite(a: np.ndarray, name: str) -> np.ndarray:
@@ -191,8 +205,12 @@ def euler_states(problem: ControlProblem, controls: np.ndarray) -> np.ndarray:
     buffer (K+1, ..., n, 1) in place, and every A x_k is the stacked matvec
     np.matmul(A, x_k): numpy makes one BLAS call per run with the same
     arguments as a single run's A @ x_k, so each run's states equal its own
-    scan bit for bit. A run whose state leaves the finite range keeps its
-    inf and NaN rows; first_nonfinite names its first bad step.
+    scan bit for bit. One run with n >= 2 drops the run axes and steps its
+    (n, 1) columns with np.dot, the same BLAS call with less dispatch; n = 1
+    keeps np.matmul, whose +0 np.dot would return as -0 (see scan_product).
+    dt is bound once as a 0-d array, which numpy does not convert per step.
+    A run whose state leaves the finite range keeps its inf and NaN rows;
+    first_nonfinite names its first bad step.
 
     When the dynamics are driftless (A is zero; -0 entries count) there is
     no loop: the steps (B u_k + 0.0) dt are formed in one call, and the
@@ -201,13 +219,15 @@ def euler_states(problem: ControlProblem, controls: np.ndarray) -> np.ndarray:
     time.
     """
     dyn = problem.dynamics
-    k_steps, dt, a = problem.steps, problem.dt, dyn.A
+    k_steps, n, a = problem.steps, dyn.n, dyn.A
+    dt = np.asarray(problem.dt)
     lead = controls.shape[:-2]
-    states = np.empty((k_steps + 1,) + lead + (dyn.n, 1))
+    axes, matvec = scan_product(lead, n)
+    states = np.empty((k_steps + 1,) + axes + (n, 1))
     states[0] = problem.x0[:, None]
-    step = np.empty(lead + (dyn.n, 1))
+    step = np.empty(axes + (n, 1))
     with np.errstate(over="ignore", invalid="ignore"):
-        bu = time_major(controls @ dyn.B.T)[..., None]
+        bu = time_major(controls @ dyn.B.T).reshape(states[1:].shape)
         if dyn.driftless:
             # A x_k is +0 for finite x_k, so step k is (+0 + B u_k) dt, and
             # accumulate adds the steps to x0 in time order
@@ -217,13 +237,13 @@ def euler_states(problem: ControlProblem, controls: np.ndarray) -> np.ndarray:
         else:
             x = states[0]
             for bu_k, x_next in zip(bu, states[1:]):
-                np.matmul(a, x, step)
-                step += bu_k
-                step *= dt
+                matvec(a, x, step)
+                np.add(step, bu_k, step)
+                np.multiply(step, dt, step)
                 x = np.add(x, step, x_next)
     # a single run's (K+1, n) view is contiguous already; a population's
     # copy lays each run out as a single run's states are
-    return np.ascontiguousarray(run_major(states[..., 0]))
+    return np.ascontiguousarray(run_major(states[..., 0]).reshape(lead + (k_steps + 1, n)))
 
 
 def first_nonfinite(states: np.ndarray) -> np.ndarray:
@@ -347,7 +367,7 @@ def validate_particle_constraints(
     out = []
     for k in range(traj.steps + 1):
         v = traj.states[k, 1]
-        if v < 0.0:
+        if not v >= 0.0:
             out.append((k, f"v = {v:.6g} below 0"))
         if k < traj.steps:
             u = traj.controls[k, 0]

@@ -19,6 +19,11 @@ the step is kept because lambda_K = x_K - x* can overflow to inf. The work
 cost adds a state term per step, so it keeps the loop, and so does
 tbptt_grad's propagated adjoint.
 
+Both adjoint scans step A^T lambda with the product linalg.scan_product
+picks, as the Euler scan does: np.dot on the (n, 1) columns of one run with
+n >= 2, the stacked np.matmul for a population or n = 1, with dt a 0-d array
+bound once.
+
 Nothing here raises on divergence: a diverging run's loss, states and
 gradient come back non-finite in its own row, and its pullback still runs
 and is counted.
@@ -43,6 +48,7 @@ from .dynamics import (
     time_major,
     work_functional,
 )
+from .linalg import scan_product
 
 _vjp_calls = 0
 
@@ -118,40 +124,45 @@ def bptt_grad(
     trajectory carry the same run axes, and each run counts K vjps. The
     adjoint scan keeps a time-major column buffer and forms A^T lambda as the
     stacked matvec, so each run's gradient equals its own call's bit for bit
-    (see euler_states). With A = 0 and no work cost the scan is one step,
-    whose result fills lambda_1..lambda_{K-1} (see the module docstring).
+    (see euler_states); one run with n >= 2 drops the run axes and steps with
+    np.dot, the same BLAS call (see scan_product). With A = 0 and no work
+    cost the scan is one step, whose result fills lambda_1..lambda_{K-1}
+    (see the module docstring).
     """
     theta = np.asarray(theta, dtype=np.float64)
     traj = rollout(problem, model, theta)
     dyn = problem.dynamics
     a_t = dyn.A.T
-    dt = problem.dt
+    dt = np.asarray(problem.dt)
     xs, us, ts = traj.states, traj.controls, traj.times
-    k_steps = problem.steps
+    k_steps, n = problem.steps, dyn.n
     mu = loss.mu
     runs = us.shape[:-2]
+    axes, matvec = scan_product(runs, n)
 
-    lams = np.empty((k_steps,) + runs + (dyn.n, 1))  # lams[k] = lambda_{k+1}
+    lams = np.empty((k_steps,) + axes + (n, 1))  # lams[k] = lambda_{k+1}
     lams[-1] = (xs[..., k_steps, :] - problem.x_star)[..., None]
-    step = np.empty(runs + (dyn.n, 1))
+    step = np.empty(axes + (n, 1))
     work = repeat(None)
     if loss.integrated == "work":
         # d(v u)/dx = (0, u_k), one column per step k = K-1 down to 1
         u = us[..., 0]
-        work = (mu * dt * time_major(np.stack([np.zeros_like(u), u], axis=-1)))[:0:-1, ..., None]
+        work = (mu * dt * time_major(np.stack([np.zeros_like(u), u], axis=-1)))[:0:-1]
+        work = work.reshape(lams[1:].shape)
     # lambda_k = lambda_{k+1} + dt A^T lambda_{k+1} (+ work), for k = K-1 down to 1
     scan = zip(lams[:0:-1], lams[-2::-1], work)
     driftless = loss.integrated != "work" and dyn.driftless
     if driftless:  # the step is idempotent: take it once, then copy its result
         scan = islice(scan, 1)
     for lam, lam_prev, w in scan:
-        np.matmul(a_t, lam, step)
-        step *= dt
+        matvec(a_t, lam, step)
+        np.multiply(step, dt, step)
         np.add(lam, step, lam_prev)
         if w is not None:
             lam_prev += w
     if driftless:
         lams[:-1] = lams[-2:-1]
+    lams = lams.reshape((k_steps,) + runs + (n, 1))  # the run axes back, for the pullback
     g_us = dt * np.matmul(run_major(lams[..., 0]), dyn.B)
     if loss.integrated == "energy":
         g_us += mu * dt * us
@@ -178,7 +189,8 @@ def tbptt_grad(
     adjoint lambda_{k'+1}, so summing over k' = 0..K-1 reproduces bptt_grad.
     A (..., P) theta is a population of runs sharing k_index, as in
     bptt_grad: lambda is a (..., n, 1) column stack and A^T lambda the stacked
-    matvec, so each run's gradient equals its own call's bit for bit.
+    matvec, so each run's gradient equals its own call's bit for bit; one
+    run with n >= 2 steps its (n, 1) column with np.dot (see scan_product).
     """
     if variant not in ("frozen", "propagated"):
         raise ValueError(f"unknown tbptt variant {variant!r}")
@@ -188,16 +200,18 @@ def tbptt_grad(
     theta = np.asarray(theta, dtype=np.float64)
     traj = rollout(problem, model, theta)
     dyn = problem.dynamics
-    dt = problem.dt
+    dt = np.asarray(problem.dt)
 
     lam = (traj.states[..., k_steps, :] - problem.x_star)[..., None]
     if variant == "propagated":
         a_t = dyn.A.T
-        step = np.empty_like(lam)
+        axes, matvec = scan_product(lam.shape[:-2], dyn.n)
+        col = lam.reshape(axes + (dyn.n, 1))  # a view: the scan updates lam
+        step = np.empty_like(col)
         for _ in range(k_index + 1, k_steps):
-            np.matmul(a_t, lam, step)
-            step *= dt
-            lam += step
+            matvec(a_t, col, step)
+            np.multiply(step, dt, step)
+            np.add(col, step, col)
     g_u = dt * np.matmul(dyn.B.T, lam)[..., 0]
     grad = model.vjp(theta, traj.times[k_index], g_u)
     _count_vjp(math.prod(traj.controls.shape[:-2]))

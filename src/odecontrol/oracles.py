@@ -22,6 +22,7 @@ from .dynamics import MovingParticleDynamics
 from .linalg import (
     as_matrix,
     as_vector,
+    check_positive,
     gramian,
     gramian_prefixes,
     mat_exp,
@@ -67,8 +68,7 @@ class OcSolution:
 
 def constant_oc(x0: float, xstar: float, horizon: float) -> OcSolution:
     """Minimum-energy steering of x' = u: the constant u* = (x* - x0)/T."""
-    if horizon <= 0.0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
+    check_positive("horizon", horizon)
     u_const = (xstar - x0) / horizon
     energy = (xstar - x0) ** 2 / (2.0 * horizon)
 
@@ -87,8 +87,7 @@ def scalar_linear_oc(a: float, b: float, x0: float, xstar: float, horizon: float
     u*(t) = a e^{-at} / (b sinh(aT)) * (x* - x0 e^{aT});
     E*    = a (1 - e^{-2aT}) (x* - x0 e^{aT})^2 / (4 sinh^2(aT) b^2).
     """
-    if horizon <= 0.0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
+    check_positive("horizon", horizon)
     if a == 0.0:
         raise ValueError("a = 0 has no sinh normalization; use constant_oc")
     if b == 0.0:
@@ -127,8 +126,7 @@ def linear_nd_oc(a, b, x0, xstar, horizon: float) -> OcSolution:
     x0 = as_vector(x0, "x0")
     xs = as_vector(xstar, "xstar")
     T = float(horizon)
-    if T <= 0.0:
-        raise ValueError(f"horizon must be positive, got {T}")
+    check_positive("horizon", T)
     prefixes = gramian_prefixes(A, B, T, GRAMIAN_STEPS)
     dt = T / GRAMIAN_STEPS
     v = xs - mat_exp(A, T) @ x0
@@ -177,8 +175,7 @@ def constant_baseline(a: float, b: float, x0: float, xstar: float, horizon: floa
     The unique c with x(T) = x*: c = (x* - x0 e^{aT}) / (b int_0^T e^{a(T-s)} ds),
     energy 1/2 c^2 T. For a = 0 the integral is just T.
     """
-    if horizon <= 0.0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
+    check_positive("horizon", horizon)
     if b == 0.0:
         raise ValueError("b = 0 means the control never enters the flow")
     T = float(horizon)

@@ -17,9 +17,10 @@ scan, bptt_grad and tbptt_grad) must equal one train call per row bit for
 bit, and train, its one-run case, must equal a loop that passes one run's
 1-D theta through every layer. It rests on one invariant of numpy's stacked
 matvec, checked here by name: row r of np.matmul(A, X[..., None]) is
-A @ X[r]. Every controller's forward, forward_batch and vjp over an (..., P)
-theta must equal one call per run bit for bit, for every activation and
-for MLP layers up to 122 wide. Runs are derandomized, so a pass or a
+A @ X[r], and for n >= 2 also np.dot(A, X[r][:, None]), the product a
+single run's scans step with. Every controller's forward, forward_batch and
+vjp over an (..., P) theta must equal one call per run bit for bit, for
+every activation and for MLP layers up to 122 wide. Runs are derandomized, so a pass or a
 failure repeats exactly.
 """
 
@@ -616,6 +617,12 @@ class TestDriftlessAdjoint:
 # -- the population axis ------------------------------------------------------
 
 
+def same_bits(got, want):
+    """Equal bytes, every NaN counted as the same value."""
+    got, want = (np.where(np.isnan(v), np.nan, v) for v in (got, want))
+    return got.tobytes() == want.tobytes()
+
+
 class TestStackedMatvecInvariant:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.integers(1, 3), st.integers(1, 64), scales, scales, seeds, st.booleans())
@@ -627,11 +634,21 @@ class TestStackedMatvecInvariant:
         if poison:  # one inf or NaN entry in A or in some row
             target = a if rng.random() < 0.5 else x
             target.flat[rng.integers(target.size)] = rng.choice([np.inf, -np.inf, np.nan])
+        one = np.empty((n, 1))
         with np.errstate(over="ignore", invalid="ignore"):
             for mat in (a, a.T):  # the scan multiplies by A, the adjoint by A^T
                 stacked = np.matmul(mat, x[..., None])[..., 0]
                 for r in range(runs):
                     assert np.array_equal(stacked[r], mat @ x[r], equal_nan=True)
+                    if n >= 2:  # a single run's scan steps its column with np.dot
+                        np.dot(mat, x[r][:, None], one)
+                        assert same_bits(one[:, 0], stacked[r])
+
+    def test_one_by_one_dot_keeps_the_sign_of_zero(self):
+        # why a single run with n = 1 keeps np.matmul: np.dot skips BLAS there
+        a, x = np.array([[0.0]]), np.array([[-1.0]])
+        assert not np.signbit(np.matmul(a, x)[0, 0])
+        assert np.signbit(np.dot(a, x)[0, 0])
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 40), st.integers(1, 64),
@@ -816,6 +833,11 @@ class TestPopulationTraining:
                                 protocol=protocol, seed=3)
         assert [w.diverged for w in want] == [False, False, True, False]
         assert want[2].diverged_at > 0
+        # rows 1-2: row 1 finishes alone, on the one-run path of the scans
+        pair = check_population(flow2d_problem(20), model, thetas[1:3], Sd(0.05), 40,
+                                protocol=protocol, seed=3)
+        assert_same_result(pair[0], want[1])
+        assert_same_result(pair[1], want[2])
 
     @pytest.mark.parametrize("name", ["constant", "time_dependent"])
     @pytest.mark.parametrize("optimizer, scale", [(Sd(0.05), 30.0), (Adam(0.05), 1e100)],

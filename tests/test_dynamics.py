@@ -318,3 +318,11 @@ class TestParticleConstraints:
         assert first_nonfinite(traj.states) == -1
         msgs = validate_particle_constraints(traj)
         assert any("v = " in m for _, m in msgs)
+
+    def test_nan_velocity_reported(self):
+        # NaN fails v >= 0 as it fails 0 <= u <= 2; the controls stay in range
+        states = np.zeros((4, 2))
+        states[2:, 1] = math.nan
+        traj = Trajectory(np.linspace(0.0, 1.0, 4), states, np.ones((3, 1)))
+        assert validate_particle_constraints(traj) == [(2, "v = nan below 0"),
+                                                       (3, "v = nan below 0")]

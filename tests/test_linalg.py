@@ -167,6 +167,15 @@ class TestGramianPrefixes:
             assert np.array_equal(w[s], panel_loop(a, b, dt, s))
         assert np.array_equal(w[-1], gramian(a, b, horizon, steps))
 
+    @pytest.mark.parametrize("horizon, match", [
+        (math.nan, "horizon must be positive, got nan"),
+        (math.inf, "horizon must be finite, got inf"),
+        (0.0, "horizon must be positive, got 0.0"),
+    ], ids=["nan", "inf", "zero"])
+    def test_bad_horizon_rejected(self, horizon, match):
+        with pytest.raises(ValueError, match=match):
+            gramian_prefixes(np.eye(2), np.ones((2, 1)), horizon)
+
     def test_flow2d_closed_form(self):
         # A = [[1, 0], [1, 0]], B = (1, 0): W11 = (e^{2t} - 1)/2,
         # W12 = W11 - (e^t - 1) and W22 = W11 - 2 (e^t - 1) + t. The

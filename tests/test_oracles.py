@@ -254,6 +254,30 @@ class TestConstantBaseline:
             constant_baseline(1.0, 0.0, 0.0, 1.0, 1.0)
 
 
+class TestHorizonChecked:
+    """Every oracle checks its horizon as ControlProblem checks T: a finite
+    number above 0."""
+
+    ORACLES = {
+        "constant_oc": lambda T: constant_oc(0.0, 1.0, T),
+        "scalar_linear_oc": lambda T: scalar_linear_oc(1.0, 1.0, 0.0, 1.0, T),
+        "linear_nd_oc": lambda T: linear_nd_oc([[1.0, 0.0], [1.0, 0.0]], [[1.0], [0.0]],
+                                               [0.5, 0.5], [1.0, -1.0], T),
+        "constant_baseline": lambda T: constant_baseline(1.0, 1.0, 0.0, 1.0, T),
+    }
+
+    @pytest.mark.parametrize("name", sorted(ORACLES))
+    @pytest.mark.parametrize("horizon, match", [
+        (math.nan, "horizon must be positive, got nan"),
+        (math.inf, "horizon must be finite, got inf"),
+        (0.0, "horizon must be positive, got 0.0"),
+        (-1.0, "horizon must be positive, got -1.0"),
+    ], ids=["nan", "inf", "zero", "negative"])
+    def test_bad_horizon_rejected(self, name, horizon, match):
+        with pytest.raises(ValueError, match=match):
+            self.ORACLES[name](horizon)
+
+
 class TestLinearNeuronMap:
     def test_fixed_line(self):
         # any (w, b) with w = -2(1 + b) is a fixed point for T=1, x0=0, x*=-1
