@@ -13,11 +13,14 @@ onto x0 in time order (a pairwise sum would round differently). A state
 that is inf or NaN stays non-finite in every later step on both paths, so
 first_nonfinite names the same first bad step.
 
-The per-step scans (the Euler scan here, the adjoint scans in gradients)
-pick their product with linalg.scan_product: a buffer holding one run with
-n >= 2 steps its (n, 1) columns with np.dot, the BLAS gemv of the stacked
-np.matmul with less dispatch, and n = 1 keeps np.matmul, whose +0 np.dot
-would return as -0. dt is a 0-d array bound once per scan.
+For A != 0 the Euler scan steps in Python, while the adjoint in
+gradients (without a work cost) is one product against
+ControlProblem.adjoint_powers, the cached stack of propagator powers
+(I + dt A^T)^j. The scan picks its product with linalg.scan_product: a
+buffer holding one run with n >= 2 steps its (n, 1) columns with np.dot,
+the BLAS gemv of the stacked np.matmul with less dispatch, and n = 1 keeps
+np.matmul, whose +0 np.dot would return as -0. dt is a 0-d array bound
+once per scan.
 
 Divergence is returned, not raised: a run that leaves the finite range
 keeps its inf or NaN states in its own rows, and first_nonfinite finds its
@@ -27,6 +30,7 @@ first bad step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -36,6 +40,7 @@ from .linalg import (
     as_vector,
     check_count,
     check_positive,
+    matrix_powers,
     row_dot,
     scan_product,
 )
@@ -56,7 +61,7 @@ class LinearDynamics:
     """x' = A x + B u, with A and B kept as read-only copies.
 
     driftless is set when every entry of A is +0 or -0 (x' = B u); the
-    Euler scan and the BPTT adjoint then skip their per-step loops.
+    Euler scan then skips its per-step loop.
     """
 
     name = "linear"
@@ -141,6 +146,19 @@ class ControlProblem:
     def times(self) -> np.ndarray:
         """The K+1 grid times t_k = k T / K (read-only)."""
         return self._times
+
+    @cached_property
+    def adjoint_powers(self) -> np.ndarray:
+        """The powers P_j = (I + dt A^T)^j, j = K-2 down to 0, as a read-only
+        contiguous (K-1, n, n) stack whose row k maps lambda_{K-1} to the
+        adjoint lambda_{k+1} of step k: row k is P_{K-2-k}. Built by
+        linalg.matrix_powers on first use and kept; a problem made by
+        dataclasses.replace builds its own."""
+        dyn = self.dynamics
+        powers = matrix_powers(np.eye(dyn.n) + self.dt * dyn.A.T, self.steps - 1)
+        powers = np.ascontiguousarray(powers[::-1])
+        powers.flags.writeable = False
+        return powers
 
 
 @dataclass

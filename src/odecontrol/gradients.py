@@ -11,18 +11,20 @@ tbptt_grad keeps a single time index k' and does one vjp per run; its
 gradients sum back to the full one, while "frozen" zeroes all state
 sensitivity downstream of k'.
 
-With A = 0 (every entry +0 or -0) and no work cost, the adjoint step
-lambda -> lambda + dt (A^T lambda) maps a finite nonzero lambda to itself,
-+-0 to +0 and +-inf to NaN, and a second application changes no bit. So
-bptt_grad takes the real step once from lambda_K and reuses its result;
-the step is kept because lambda_K = x_K - x* can overflow to inf. The work
-cost adds a state term per step, so it keeps the loop, and so does
-tbptt_grad's propagated adjoint.
-
-Both adjoint scans step A^T lambda with the product linalg.scan_product
-picks, as the Euler scan does: np.dot on the (n, 1) columns of one run with
-n >= 2, the stacked np.matmul for a population or n = 1, with dt a 0-d array
-bound once.
+The system is linear and time-invariant, so without a state term the
+adjoint is a fixed linear map: lambda_{k+1} = P_{K-2-k} lambda_{K-1} with
+P_j = (I + dt A^T)^j. ControlProblem.adjoint_powers builds the read-only
+stack of these powers once per problem, row k holding P_{K-2-k}. Both
+adjoints take the first step lambda_{K-1} = lambda_K + dt (A^T lambda_K)
+as before, which maps -0 to +0 and an inf in lambda_K (x_K - x* can
+overflow) to NaN, and then apply the stack in one product: bptt_grad all
+of it, one gemv per run on the ((K-1) n, n) flattening, tbptt_grad the one
+power P_{K-2-k'}, whose gemv gives BPTT's row k' bit for bit. With A = 0
+every P_j is the identity exactly, so the product copies lambda_{K-1}, as
+the per-step loop would. The work cost's state term makes the adjoint a
+convolution, so it keeps the per-step loop. Every product is the one
+linalg.scan_product picks: np.dot for one run with n >= 2, the stacked
+np.matmul for a population or n = 1.
 
 Nothing here raises on divergence: a diverging run's loss, states and
 gradient come back non-finite in its own row, and its pullback still runs
@@ -33,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -114,6 +115,19 @@ class GradResult(NamedTuple):
     trajectory: Trajectory
 
 
+def _first_adjoint_step(problem: ControlProblem, lam: np.ndarray):
+    """lambda_{K-1} = lambda_K + dt A^T lambda_K for a (..., n, 1) column
+    stack, stepped with the product scan_product picks for its run axes.
+    Returns the column on the axes scan_product returns (a bare (n, 1) for
+    one run with n >= 2) and that product."""
+    n = problem.dynamics.n
+    axes, product = scan_product(lam.shape[:-2], n)
+    lam = lam.reshape(axes + (n, 1))
+    step = product(problem.dynamics.A.T, lam)
+    np.multiply(step, problem.dt, step)
+    return np.add(lam, step, step), product
+
+
 def bptt_grad(
     problem: ControlProblem, model, theta, loss: LossSpec = LossSpec()
 ) -> GradResult:
@@ -121,49 +135,46 @@ def bptt_grad(
     pullback of the K control cotangents, counted as K vjps.
 
     A (..., P) theta is a population of runs: grad is (..., P), loss and the
-    trajectory carry the same run axes, and each run counts K vjps. The
-    adjoint scan keeps a time-major column buffer and forms A^T lambda as the
-    stacked matvec, so each run's gradient equals its own call's bit for bit
-    (see euler_states); one run with n >= 2 drops the run axes and steps with
-    np.dot, the same BLAS call (see scan_product). With A = 0 and no work
-    cost the scan is one step, whose result fills lambda_1..lambda_{K-1}
-    (see the module docstring).
+    trajectory carry the same run axes, and each run counts K vjps. Without
+    a work cost the adjoint takes its first step, then forms lambda_1 ..
+    lambda_{K-1} as one product of the problem's propagator stack
+    (adjoint_powers, flattened to ((K-1) n, n)) with lambda_{K-1}: one gemv
+    per run, so each run's gradient equals its own call's bit for bit. The
+    work cost adds a state term per step, so it keeps the per-step loop.
     """
     theta = np.asarray(theta, dtype=np.float64)
     traj = rollout(problem, model, theta)
     dyn = problem.dynamics
-    a_t = dyn.A.T
-    dt = np.asarray(problem.dt)
     xs, us, ts = traj.states, traj.controls, traj.times
     k_steps, n = problem.steps, dyn.n
     mu = loss.mu
     runs = us.shape[:-2]
-    axes, matvec = scan_product(runs, n)
+    dt = np.asarray(problem.dt)
 
-    lams = np.empty((k_steps,) + axes + (n, 1))  # lams[k] = lambda_{k+1}
-    lams[-1] = (xs[..., k_steps, :] - problem.x_star)[..., None]
-    step = np.empty(axes + (n, 1))
-    work = repeat(None)
+    lam = (xs[..., k_steps, :] - problem.x_star)[..., None]  # lambda_K
     if loss.integrated == "work":
-        # d(v u)/dx = (0, u_k), one column per step k = K-1 down to 1
+        # lambda_k = lambda_{k+1} + dt A^T lambda_{k+1} + work_k, k = K-1 down
+        # to 1, with d(v u)/dx = (0, u_k), on a time-major column buffer
+        a_t, (axes, matvec) = dyn.A.T, scan_product(runs, n)
+        lams = np.empty((k_steps,) + axes + (n, 1))  # lams[k] = lambda_{k+1}
+        lams[-1] = lam.reshape(axes + (n, 1))
+        step = np.empty(axes + (n, 1))
         u = us[..., 0]
         work = (mu * dt * time_major(np.stack([np.zeros_like(u), u], axis=-1)))[:0:-1]
-        work = work.reshape(lams[1:].shape)
-    # lambda_k = lambda_{k+1} + dt A^T lambda_{k+1} (+ work), for k = K-1 down to 1
-    scan = zip(lams[:0:-1], lams[-2::-1], work)
-    driftless = loss.integrated != "work" and dyn.driftless
-    if driftless:  # the step is idempotent: take it once, then copy its result
-        scan = islice(scan, 1)
-    for lam, lam_prev, w in scan:
-        matvec(a_t, lam, step)
-        np.multiply(step, dt, step)
-        np.add(lam, step, lam_prev)
-        if w is not None:
+        for lam, lam_prev, w in zip(lams[:0:-1], lams[-2::-1], work.reshape(lams[1:].shape)):
+            matvec(a_t, lam, step)
+            np.multiply(step, dt, step)
+            np.add(lam, step, lam_prev)
             lam_prev += w
-    if driftless:
-        lams[:-1] = lams[-2:-1]
-    lams = lams.reshape((k_steps,) + runs + (n, 1))  # the run axes back, for the pullback
-    g_us = dt * np.matmul(run_major(lams[..., 0]), dyn.B)
+        lams = run_major(lams.reshape((k_steps,) + runs + (n, 1))[..., 0])
+    else:
+        first, product = _first_adjoint_step(problem, lam)
+        powers = problem.adjoint_powers.reshape(-1, n)
+        lams = np.empty(first.shape[:-2] + (k_steps * n, 1))  # lambda_1 .. lambda_K
+        product(powers, first, lams[..., :-n, :])
+        lams[..., -n:, :] = lam.reshape(first.shape)
+        lams = lams.reshape(runs + (k_steps, n))
+    g_us = dt * np.matmul(lams, dyn.B)
     if loss.integrated == "energy":
         g_us += mu * dt * us
     elif loss.integrated == "work":
@@ -186,11 +197,11 @@ def tbptt_grad(
     variant "frozen" is the literal truncated rule with downstream state
     sensitivities treated as zero: dt * J_u(t_k')^T B^T (x_K - x*).
     variant "propagated" (default) replaces the frozen cotangent with the true
-    adjoint lambda_{k'+1}, so summing over k' = 0..K-1 reproduces bptt_grad.
+    adjoint lambda_{k'+1}, so summing over k' = 0..K-1 reproduces bptt_grad:
+    the first adjoint step, then one product P_{K-2-k'} lambda_{K-1} with the
+    problem's propagator stack (adjoint_powers), BPTT's row k' bit for bit.
     A (..., P) theta is a population of runs sharing k_index, as in
-    bptt_grad: lambda is a (..., n, 1) column stack and A^T lambda the stacked
-    matvec, so each run's gradient equals its own call's bit for bit; one
-    run with n >= 2 steps its (n, 1) column with np.dot (see scan_product).
+    bptt_grad, and each run's gradient equals its own call's bit for bit.
     """
     if variant not in ("frozen", "propagated"):
         raise ValueError(f"unknown tbptt variant {variant!r}")
@@ -203,15 +214,9 @@ def tbptt_grad(
     dt = np.asarray(problem.dt)
 
     lam = (traj.states[..., k_steps, :] - problem.x_star)[..., None]
-    if variant == "propagated":
-        a_t = dyn.A.T
-        axes, matvec = scan_product(lam.shape[:-2], dyn.n)
-        col = lam.reshape(axes + (dyn.n, 1))  # a view: the scan updates lam
-        step = np.empty_like(col)
-        for _ in range(k_index + 1, k_steps):
-            matvec(a_t, col, step)
-            np.multiply(step, dt, step)
-            np.add(col, step, col)
+    if variant == "propagated" and k_index < k_steps - 1:
+        first, product = _first_adjoint_step(problem, lam)
+        lam = product(problem.adjoint_powers[k_index], first).reshape(lam.shape)
     g_u = dt * np.matmul(dyn.B.T, lam)[..., 0]
     grad = model.vjp(theta, traj.times[k_index], g_u)
     _count_vjp(math.prod(traj.controls.shape[:-2]))
@@ -225,15 +230,19 @@ def fd_grad(
     loss: LossSpec = LossSpec(),
     h: float = 1e-6,
 ) -> np.ndarray:
-    """Central finite differences of J(theta), the reference for bptt_grad."""
+    """Central finite differences of J(theta), the reference for bptt_grad.
+
+    A (..., P) theta is a population of runs, as in bptt_grad: parameter i
+    of every run moves at once, and each row equals its own call's bits.
+    """
     theta = np.asarray(theta, dtype=np.float64)
 
     def objective(th):
         return loss.value(rollout(problem, model, th), problem.x_star)
 
-    grad = np.zeros(theta.shape[0])
-    for i in range(theta.shape[0]):
+    grad = np.zeros(theta.shape)
+    for i in range(theta.shape[-1]):
         e = np.zeros_like(theta)
-        e[i] = h
-        grad[i] = (objective(theta + e) - objective(theta - e)) / (2.0 * h)
+        e[..., i] = h
+        grad[..., i] = (objective(theta + e) - objective(theta - e)) / (2.0 * h)
     return grad

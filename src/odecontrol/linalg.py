@@ -6,7 +6,8 @@ number generation.
 The exponential runs on a stack of times at once (`mat_exp_stack`), each
 time squared only as often as its own norm asks, with the bits of one
 `mat_exp` per time. The Gramian is one array program: the powers
-exp(A dt)^j take one product per panel (np.dot for n >= 2, see
+exp(A dt)^j take one product per panel (`matrix_powers`, the power chain
+that also builds the adjoint's propagator stack; np.dot for n >= 2, see
 `scan_product`), all panel terms are one stacked product, and the panels
 are summed in order, since numpy's pairwise `sum` rounds differently for
 n = 1. The running sum gives W(s dt) for every panel count s at once
@@ -85,6 +86,20 @@ def scan_product(runs: tuple[int, ...], n: int):
     return runs, np.matmul
 
 
+def matrix_powers(m: np.ndarray, count: int) -> np.ndarray:
+    """The (count, n, n) stack of powers M^j, j = 0..count-1: row 0 is the
+    identity and row j + 1 is M times row j, one product per power (np.dot
+    for n >= 2, np.matmul for n = 1, see scan_product). count = 0 gives an
+    empty stack."""
+    n = m.shape[0]
+    powers = np.empty((count, n, n))
+    powers[:1] = np.eye(n)
+    _, product = scan_product((), n)
+    for p, p_next in zip(powers, powers[1:]):
+        product(m, p, p_next)
+    return powers
+
+
 def check_count(name: str, n: int) -> None:
     """Raise a ValueError naming n unless it is at least 1."""
     if n < 1:
@@ -155,8 +170,7 @@ def gramian_prefixes(a, b, horizon: float, steps: int = 2000) -> np.ndarray:
     bit for bit whenever s dt / s == dt (row 0 is zero).
 
     Only the powers E_{j+1} = exp(A dt) E_j run in Python, one product per
-    panel: np.dot on zipped row views for n >= 2, np.matmul for n = 1 (see
-    scan_product), with the same bits. The panel terms
+    panel (`matrix_powers`). The panel terms
     G_j = (E_j B)(E_j B)^T are one stacked product and are summed in panel
     order by `np.add.accumulate`, whose running sum is the trapezoid sum of
     every panel count at once: W_s = dt (acc_{s-1} + G_s / 2) with G_0
@@ -179,13 +193,7 @@ def gramian_prefixes(a, b, horizon: float, steps: int = 2000) -> np.ndarray:
     if steps < 100:
         raise ValueError(f"gramian needs at least 100 steps, got {steps}")
     dt = horizon / steps
-    step_mat = mat_exp(A, dt)
-    n = A.shape[0]
-    E = np.empty((steps + 1, n, n))
-    E[0] = np.eye(n)  # exp(A * 0)
-    _, product = scan_product((), n)
-    for e, e_next in zip(E, E[1:]):
-        product(step_mat, e, e_next)
+    E = matrix_powers(mat_exp(A, dt), steps + 1)  # E_j = exp(A j dt)
     EB = E @ B
     G = EB @ EB.swapaxes(-1, -2)
     G[0] *= 0.5

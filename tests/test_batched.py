@@ -18,10 +18,13 @@ bit, and train, its one-run case, must equal a loop that passes one run's
 1-D theta through every layer. It rests on one invariant of numpy's stacked
 matvec, checked here by name: row r of np.matmul(A, X[..., None]) is
 A @ X[r], and for n >= 2 also np.dot(A, X[r][:, None]), the product a
-single run's scans step with. Every controller's forward, forward_batch and
-vjp over an (..., P) theta must equal one call per run bit for bit, for
-every activation and for MLP layers up to 122 wide. Runs are derandomized, so a pass or a
-failure repeats exactly.
+single run's scans step with; and block j of the adjoint's one gemv with a
+flattened (J n, n) stack of matrices is the gemv with matrix j alone. The
+adjoint is checked against the per-step loop at 1e-12, and the propagated
+TBPTT adjoint against BPTT's row bit for bit. Every controller's forward,
+forward_batch and vjp over an (..., P) theta must equal one call per run
+bit for bit, for every activation and for MLP layers up to 122 wide. Runs
+are derandomized, so a pass or a failure repeats exactly.
 """
 
 import dataclasses
@@ -537,8 +540,9 @@ class TestBatchedGradients:
 
 
 def loop_bptt(problem, model, theta, loss):
-    """bptt_grad's adjoint as the K - 1 step loop, on the package's rollout;
-    with A = 0 the package takes one step of it and copies the result."""
+    """bptt_grad's adjoint as the K - 1 step loop lambda + dt A^T lambda, on
+    the package's rollout, for terminal and energy losses; the package takes
+    the first step and applies the propagator stack to its result."""
     traj = rollout(problem, model, theta)
     a_t, dt, k_steps = problem.dynamics.A.T, problem.dt, problem.steps
     runs = traj.controls.shape[:-2]
@@ -582,7 +586,8 @@ def driftless_cases(draw):
 
 class TestDriftlessAdjoint:
     """With A = 0 the adjoint step maps lambda to itself (+0 for +-0, NaN for
-    +-inf) and is idempotent, so one step equals the loop byte for byte."""
+    +-inf) and every propagator power is the identity exactly, so the first
+    step and one product equal the loop byte for byte."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(driftless_cases(), st.sampled_from([None, 0.0, 0.7]))
@@ -614,6 +619,114 @@ class TestDriftlessAdjoint:
                             got.tobytes() == np.zeros_like(got).tobytes())
 
 
+@st.composite
+def drift_cases(draw):
+    """x' = A x + B u with a random A != 0, n up to 3 and K up to 300, and a
+    model with one theta or a population (four runs of a small controller or
+    three of an MLP)."""
+    n, k = draw(st.integers(1, 3)), draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(seeds))
+    population = draw(st.booleans())
+    if population and draw(st.booleans()):
+        model = draw(st.sampled_from(SMALL_MODELS))
+        theta = rng.normal(size=(4, model.n_params))
+    else:
+        model = draw(mlps())
+        theta = rng.normal(size=(3, model.n_params) if population else model.n_params)
+    a = rng.normal(size=(n, n))
+    b = rng.normal(size=(n, getattr(model, "out_dim", 1)))
+    problem = ControlProblem(LinearDynamics(a, b), rng.normal(size=n), rng.normal(size=n),
+                             rng.uniform(0.1, 5.0), k)
+    return problem, model, theta
+
+
+class CotangentRecorder:
+    """A model whose pullback records the cotangents it is handed."""
+
+    def __init__(self, model):
+        self.model, self.seen = model, []
+
+    def forward_batch(self, theta, ts):
+        return self.model.forward_batch(theta, ts)
+
+    def vjp(self, theta, ts, ybar):
+        self.seen.append(np.array(ybar))
+        return self.model.vjp(theta, ts, ybar)
+
+
+class TestPropagatorStack:
+    """Without a work cost the adjoint is the first step, then one product
+    with the problem's cached stack of powers (I + dt A^T)^j."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(drift_cases(), st.sampled_from([None, 0.0, 0.7]))
+    def test_bptt_matches_per_step_loop(self, case, mu):
+        problem, model, theta = case
+        loss = LossSpec.terminal() if mu is None else LossSpec.energy(mu)
+        want_grad, want_loss = loop_bptt(problem, model, theta, loss)
+        got = bptt_grad(problem, model, theta, loss)
+        assert_close(got.grad, want_grad)
+        assert np.asarray(got.loss).tobytes() == np.asarray(want_loss).tobytes()
+
+    @SETTINGS
+    @given(gradient_cases(), st.booleans())
+    def test_propagated_tbptt_is_bptt_row(self, case, population):
+        # every shipped B has entries 0 and 1, so a cotangent is dt times
+        # one adjoint entry, exactly, and equal cotangents mean equal adjoints
+        problem, model, theta = case
+        if population:
+            theta = np.stack([theta, -theta, 2.0 * theta])
+        full = CotangentRecorder(model)
+        bptt_grad(problem, full, theta)
+        (rows,) = full.seen
+        for k in range(problem.steps):
+            one = CotangentRecorder(model)
+            tbptt_grad(problem, one, theta, k, "propagated")
+            assert one.seen[0].tobytes() == rows[..., k, :].tobytes()
+
+    @pytest.mark.parametrize("steps", [1, 2, 3])
+    @pytest.mark.parametrize("runs", [(), (4,)], ids=["single", "population"])
+    def test_short_horizons(self, steps, runs):
+        # K = 1 takes no step and K = 2 only the first one, so both are the
+        # loop's bits; K = 3 applies P_1 = I + dt A^T once
+        problem = dataclasses.replace(flow2d_problem(), steps=steps)
+        model = SingleNeuron(TANH)
+        theta = np.random.default_rng(steps).normal(size=runs + (model.n_params,))
+        powers = problem.adjoint_powers
+        assert powers.shape == (steps - 1, 2, 2)
+        if steps > 1:
+            assert np.array_equal(powers[-1], np.eye(2))
+        if steps == 3:
+            assert np.array_equal(powers[0], np.eye(2) + problem.dt * problem.dynamics.A.T)
+        for loss in (LossSpec.terminal(), LossSpec.energy(0.5)):
+            got = bptt_grad(problem, model, theta, loss).grad
+            want = loop_bptt(problem, model, theta, loss)[0]
+            if steps < 3:
+                assert got.tobytes() == want.tobytes()
+            else:
+                assert_close(got, want)
+        total = sum(tbptt_grad(problem, model, theta, k).grad for k in range(steps))
+        assert_close(total, bptt_grad(problem, model, theta).grad)
+
+    def test_stack_is_cached_read_only(self):
+        problem = flow2d_problem(50)
+        powers = problem.adjoint_powers
+        assert powers is problem.adjoint_powers
+        assert not powers.flags.writeable and powers.flags.c_contiguous
+        with pytest.raises(ValueError):
+            powers[0, 0, 0] = 1.0
+        # row k maps lambda_{K-1} to lambda_{k+1}: (I + dt A^T)^(K-2-k)
+        step = np.eye(2) + problem.dt * problem.dynamics.A.T
+        assert np.array_equal(powers[-2], step)
+        assert_close(powers[0], np.linalg.matrix_power(step, 48))
+        shorter = dataclasses.replace(problem, steps=20)
+        assert shorter.adjoint_powers is not powers
+        assert shorter.adjoint_powers.shape == (19, 2, 2)
+        same = dataclasses.replace(problem)
+        assert same.adjoint_powers is not powers
+        assert same.adjoint_powers.tobytes() == powers.tobytes()
+
+
 # -- the population axis ------------------------------------------------------
 
 
@@ -643,6 +756,25 @@ class TestStackedMatvecInvariant:
                     if n >= 2:  # a single run's scan steps its column with np.dot
                         np.dot(mat, x[r][:, None], one)
                         assert same_bits(one[:, 0], stacked[r])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(1, 3), st.integers(1, 40), st.integers(1, 8), scales, scales, seeds)
+    def test_flattened_stack_blocks_are_single_matvecs(self, n, count, runs, p_scale,
+                                                       x_scale, seed):
+        # bptt_grad applies the whole propagator stack in one gemv per run,
+        # tbptt_grad one matrix of it: block j must be the same product
+        rng = np.random.default_rng(seed)
+        powers = p_scale * rng.normal(size=(count, n, n))
+        x = x_scale * rng.normal(size=(runs, n, 1))
+        flat = powers.reshape(-1, n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            stacked = np.matmul(flat, x).reshape(runs, count, n, 1)
+            for r in range(runs):
+                single = np.dot(flat, x[r]) if n >= 2 else np.matmul(flat, x[r])
+                assert same_bits(single, stacked[r].reshape(-1, 1))
+                for j in range(count):
+                    one = np.dot(powers[j], x[r]) if n >= 2 else np.matmul(powers[j], x[r])
+                    assert same_bits(one, stacked[r, j])
 
     def test_one_by_one_dot_keeps_the_sign_of_zero(self):
         # why a single run with n = 1 keeps np.matmul: np.dot skips BLAS there

@@ -495,7 +495,7 @@ PHASE_CSV = (
 )
 MU_CSV = (
     'mu,loss,work,energy,diverged\n'
-    '0.0,0.17108488657087348,0.13927529378964285,0.020584544483838448,0\n'
+    '0.0,0.1710848865708736,0.1392752937896428,0.020584544483838438,0\n'
     '0.001,0.17108488657046875,0.13927529378941897,0.020584544483763508,0\n'
 )
 SCAN_CSV = (

@@ -106,6 +106,20 @@ class TestBpttVsFd:
         np.testing.assert_allclose(res.grad, [err * t_sum, err * 1.0], rtol=1e-12)
         assert res.loss == pytest.approx(0.5 * err * err, rel=1e-12)
 
+    @pytest.mark.parametrize("name", sorted(PROBLEMS))
+    def test_fd_grad_takes_the_run_axis(self, name):
+        problem = PROBLEMS[name]
+        model = MlpSpec((4,), activation=elu())
+        thetas = SeededRng(15).normal((3, model.n_params)) * 0.5
+        losses = [LossSpec.terminal(), LossSpec.energy(0.3)]
+        if name == "particle":
+            losses.append(LossSpec.work(0.1))
+        for loss in losses:
+            got = fd_grad(problem, model, thetas, loss)
+            assert got.shape == thetas.shape
+            for r, theta in enumerate(thetas):
+                assert got[r].tobytes() == fd_grad(problem, model, theta, loss).tobytes()
+
     def test_loss_value_reported(self):
         problem = PROBLEMS["integrator"]
         model = MlpSpec((3,))
