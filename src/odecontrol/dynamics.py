@@ -16,11 +16,17 @@ first_nonfinite names the same first bad step.
 For A != 0 the Euler scan steps in Python, while the adjoint in
 gradients (without a work cost) is one product against
 ControlProblem.adjoint_powers, the cached stack of propagator powers
-(I + dt A^T)^j. The scan picks its product with linalg.scan_product: a
-buffer holding one run with n >= 2 steps its (n, 1) columns with np.dot,
-the BLAS gemv of the stacked np.matmul with less dispatch, and n = 1 keeps
-np.matmul, whose +0 np.dot would return as -0. dt is a 0-d array bound
-once per scan.
+(I + dt A^T)^j. One run with n <= 2 (every train call and every one-run
+population on the shipped drift problems) takes a kernel on Python
+floats: per step one BLAS gemv for A x_k (none for n = 1, where
+0.0 + a x_k is gemv's rounding) and x_k + (A x_k + B u_k) dt in the
+ufunc loop's operand order. Python's + and * are the same binary64
+round-to-nearest operations as the ufuncs, and inf and NaN pass through
+them without exceptions, so the states keep every bit. Populations and
+n >= 3 step (n, 1) columns with the product linalg.scan_product picks:
+np.dot for one run, the BLAS gemv of the stacked np.matmul with less
+dispatch, and np.matmul for a population; that loop multiplies by dt as
+a 0-d array bound once per scan.
 
 Divergence is returned, not raised: a run that leaves the finite range
 keeps its inf or NaN states in its own rows, and first_nonfinite finds its
@@ -29,6 +35,7 @@ first bad step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -219,15 +226,16 @@ class Trajectory:
 def euler_states(problem: ControlProblem, controls: np.ndarray) -> np.ndarray:
     """States (..., K+1, n) of the Euler recursion under (..., K, m) controls.
 
-    Leading axes are independent runs. The scan fills a time-major column
-    buffer (K+1, ..., n, 1) in place, and every A x_k is the stacked matvec
-    np.matmul(A, x_k): numpy makes one BLAS call per run with the same
-    arguments as a single run's A @ x_k, so each run's states equal its own
-    scan bit for bit. One run with n >= 2 drops the run axes and steps its
-    (n, 1) columns with np.dot, the same BLAS call with less dispatch; n = 1
-    keeps np.matmul, whose +0 np.dot would return as -0 (see scan_product).
-    dt is bound once as a 0-d array, which numpy does not convert per step.
-    A run whose state leaves the finite range keeps its inf and NaN rows;
+    Leading axes are independent runs. A buffer holding one run with
+    n <= 2 and A != 0 is scanned by _one_run_scan on Python floats. Any
+    other scan fills a time-major column buffer (K+1, ..., n, 1) in place,
+    and every A x_k is the stacked matvec np.matmul(A, x_k): numpy makes
+    one BLAS call per run with the same arguments as a single run's
+    A @ x_k, so each run's states equal its own scan bit for bit. One run
+    with n >= 3 drops the run axes and steps its (n, 1) columns with
+    np.dot, the same BLAS call with less dispatch (see scan_product). dt is
+    bound once as a 0-d array, which numpy does not convert per step. A run
+    whose state leaves the finite range keeps its inf and NaN rows;
     first_nonfinite names its first bad step.
 
     When the dynamics are driftless (A is zero; -0 entries count) there is
@@ -238,13 +246,16 @@ def euler_states(problem: ControlProblem, controls: np.ndarray) -> np.ndarray:
     """
     dyn = problem.dynamics
     k_steps, n, a = problem.steps, dyn.n, dyn.A
-    dt = np.asarray(problem.dt)
     lead = controls.shape[:-2]
-    axes, matvec = scan_product(lead, n)
-    states = np.empty((k_steps + 1,) + axes + (n, 1))
-    states[0] = problem.x0[:, None]
-    step = np.empty(axes + (n, 1))
     with np.errstate(over="ignore", invalid="ignore"):
+        if n <= 2 and not dyn.driftless and math.prod(lead) == 1:
+            bu = (controls @ dyn.B.T).reshape(k_steps, n)
+            return _one_run_scan(problem, bu).reshape(lead + (k_steps + 1, n))
+        dt = np.asarray(problem.dt)
+        axes, matvec = scan_product(lead, n)
+        states = np.empty((k_steps + 1,) + axes + (n, 1))
+        states[0] = problem.x0[:, None]
+        step = np.empty(axes + (n, 1))
         bu = time_major(controls @ dyn.B.T).reshape(states[1:].shape)
         if dyn.driftless:
             # A x_k is +0 for finite x_k, so step k is (+0 + B u_k) dt, and
@@ -262,6 +273,39 @@ def euler_states(problem: ControlProblem, controls: np.ndarray) -> np.ndarray:
     # a single run's (K+1, n) view is contiguous already; a population's
     # copy lays each run out as a single run's states are
     return np.ascontiguousarray(run_major(states[..., 0]).reshape(lead + (k_steps + 1, n)))
+
+
+def _one_run_scan(problem: ControlProblem, bu: np.ndarray) -> np.ndarray:
+    """The (K+1, n) Euler states of one run with n <= 2 from its (K, n)
+    B u_k rows, x_{k+1} = x_k + (A x_k + B u_k) dt on Python floats.
+
+    Each operation is the ufunc loop's, on the same operands in the same
+    order, so every bit is the loop's. For n = 2, A x_k is one gemv,
+    a.dot(x_k, step), the call np.dot makes, and x_{k+1} is written into
+    the states buffer that the next gemv reads. For n = 1 there is no BLAS
+    call: A x_k is 0.0 + a x_k, gemv's rounding, which is +0 for a -0
+    product.
+    """
+    a, dt = problem.dynamics.A, problem.dt
+    if a.shape == (1, 1):
+        a, x = a.item(), problem.x0.item()
+        states = [x]
+        for b in bu[:, 0].tolist():
+            x = x + (0.0 + a * x + b) * dt
+            states.append(x)
+        return np.array(states)[:, None]
+    states = np.empty((bu.shape[0] + 1, 2))
+    states[0] = problem.x0
+    x0, x1 = problem.x0.tolist()
+    step = np.empty(2)
+    gemv = a.dot
+    for x, (b0, b1), x_next in zip(states, bu.tolist(), states[1:]):
+        gemv(x, step)
+        y0, y1 = step.tolist()
+        x0 = x0 + (y0 + b0) * dt
+        x1 = x1 + (y1 + b1) * dt
+        x_next[0], x_next[1] = x0, x1
+    return states
 
 
 def first_nonfinite(states: np.ndarray) -> np.ndarray:

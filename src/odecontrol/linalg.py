@@ -7,12 +7,12 @@ The exponential runs on a stack of times at once (`mat_exp_stack`), each
 time squared only as often as its own norm asks, with the bits of one
 `mat_exp` per time. The Gramian is one array program: the powers
 exp(A dt)^j take one product per panel (`matrix_powers`, the power chain
-that also builds the adjoint's propagator stack; np.dot for n >= 2, see
-`scan_product`), all panel terms are one stacked product, and the panels
-are summed in order, since numpy's pairwise `sum` rounds differently for
-n = 1. The running sum gives W(s dt) for every panel count s at once
-(`gramian_prefixes`), each with the per-panel loop's bits, in about
-4 (steps + 1) n^2 floats.
+that also builds the adjoint's propagator stack; the bound m.dot for
+n >= 2, see `scan_product`), all panel terms are one stacked product, and
+the panels are summed in order, since numpy's pairwise `sum` rounds
+differently for n = 1. The running sum gives W(s dt) for every panel
+count s at once (`gramian_prefixes`), each with the per-panel loop's
+bits, in about 4 (steps + 1) n^2 floats.
 
 Everything works on float64 numpy arrays and checks dimensions explicitly;
 nothing here broadcasts silently.
@@ -20,6 +20,7 @@ nothing here broadcasts silently.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -88,15 +89,16 @@ def scan_product(runs: tuple[int, ...], n: int):
 
 def matrix_powers(m: np.ndarray, count: int) -> np.ndarray:
     """The (count, n, n) stack of powers M^j, j = 0..count-1: row 0 is the
-    identity and row j + 1 is M times row j, one product per power (np.dot
-    for n >= 2, np.matmul for n = 1, see scan_product). count = 0 gives an
-    empty stack."""
+    identity and row j + 1 is M times row j, one product per power: the
+    bound m.dot for n >= 2, np.dot's BLAS call without its dispatch, and
+    np.matmul for n = 1 (see scan_product). count = 0 gives an empty
+    stack."""
     n = m.shape[0]
     powers = np.empty((count, n, n))
     powers[:1] = np.eye(n)
-    _, product = scan_product((), n)
+    product = m.dot if n >= 2 else functools.partial(np.matmul, m)
     for p, p_next in zip(powers, powers[1:]):
-        product(m, p, p_next)
+        product(p, p_next)
     return powers
 
 

@@ -280,53 +280,53 @@ def train_runs(
     diverged_at = np.full(runs, -1)
     diverged_step = np.full(runs, -1)
 
-    for epoch in range(epochs):
-        if protocol.kind == "tbptt" and protocol.schedule == "random":
-            k_index = rng.integers(0, problem.steps)
-        else:
-            k_index = epoch % problem.steps
-        # overflow on a diverging iterate is routine; its loss, states and
-        # gradient come back non-finite in its own row (loss_n holds one
-        # value per live run)
-        with np.errstate(over="ignore", invalid="ignore"):
+    # overflow on a diverging iterate is routine: its loss, states, gradient
+    # and step come back non-finite in its own row (loss_n holds one value
+    # per live run), and none of it warns
+    with np.errstate(all="ignore"):
+        for epoch in range(epochs):
+            if protocol.kind == "tbptt" and protocol.schedule == "random":
+                k_index = rng.integers(0, problem.steps)
+            else:
+                k_index = epoch % problem.steps
             if protocol.kind == "bptt":
                 grad, loss_n, traj = bptt_grad(problem, model, theta, loss)
             else:
                 grad, loss_n, traj = tbptt_grad(problem, model, theta, k_index,
                                                 protocol.variant)
-        steps = first_nonfinite(traj.states)
-        bad = steps >= 0
-        if bad.any():
-            # the diverged runs stop at this iterate, which is not recorded
-            # (their history holds epochs 0..n-1); the others go on with
-            # their rows of this pass
-            diverged_at[live[bad]] = epoch
-            diverged_step[live[bad]] = steps[bad]
-            for done, row in zip(final, best + [theta]):
-                done[live[bad]] = row[bad]
-            live, theta = live[~bad], theta[~bad]
-            best = [row[~bad] for row in best]
-            if not live.size:
-                break
-            if adam_state is not None:
-                adam_state = AdamState(adam_state.m[~bad], adam_state.v[~bad], adam_state.t)
-            grad, loss_n = grad[~bad], loss_n[~bad]
-            traj = Trajectory(traj.times, traj.states[~bad], traj.controls[~bad], dynamics=dyn)
+            # x0 is finite and a non-finite state stays non-finite in every
+            # later Euler step, so a run diverged exactly when its x_K is not
+            # finite
+            bad = ~np.isfinite(traj.states[:, -1]).all(axis=-1)
+            if bad.any():
+                # the diverged runs stop at this iterate, which is not recorded
+                # (their history holds epochs 0..n-1); the others go on with
+                # their rows of this pass
+                diverged_at[live[bad]] = epoch
+                diverged_step[live[bad]] = first_nonfinite(traj.states[bad])
+                for done, row in zip(final, best + [theta]):
+                    done[live[bad]] = row[bad]
+                live, theta = live[~bad], theta[~bad]
+                best = [row[~bad] for row in best]
+                if not live.size:
+                    break
+                if adam_state is not None:
+                    adam_state = AdamState(adam_state.m[~bad], adam_state.v[~bad], adam_state.t)
+                grad, loss_n = grad[~bad], loss_n[~bad]
+                traj = Trajectory(traj.times, traj.states[~bad], traj.controls[~bad], dynamics=dyn)
 
-        loss_best, best_epoch, theta_best, best_states, best_controls = best
-        if epoch == 0:
-            # until the loss first improves, the best trajectory is epoch 0's
-            best_states[...], best_controls[...] = traj.states, traj.controls
-        improved = loss_n < loss_best
-        np.copyto(loss_best, loss_n, where=improved)
-        np.copyto(best_epoch, epoch, where=improved)
-        np.copyto(theta_best, theta, where=improved[:, None])
-        np.copyto(best_states, traj.states, where=improved[:, None, None])
-        np.copyto(best_controls, traj.controls, where=improved[:, None, None])
+            loss_best, best_epoch, theta_best, best_states, best_controls = best
+            if epoch == 0:
+                # until the loss first improves, the best trajectory is epoch 0's
+                best_states[...], best_controls[...] = traj.states, traj.controls
+            improved = loss_n < loss_best
+            np.copyto(loss_best, loss_n, where=improved)
+            np.copyto(best_epoch, epoch, where=improved)
+            np.copyto(theta_best, theta, where=improved[:, None])
+            np.copyto(best_states, traj.states, where=improved[:, None, None])
+            np.copyto(best_controls, traj.controls, where=improved[:, None, None])
 
-        # same guard as the gradient pass: the step itself can overflow on an
-        # iterate whose next pass diverges
-        with np.errstate(over="ignore", invalid="ignore"):
+            # the step itself can overflow on an iterate whose next pass diverges
             energy_n = control_energy(traj)
             gnorm = np.sqrt(row_dot(grad, grad))
             if isinstance(optimizer, Sd):
@@ -334,14 +334,12 @@ def train_runs(
             else:
                 adam_state, theta_next = adam_step(adam_state, theta, grad, optimizer)
 
-        row = columns[epoch]
-        # a slice while every run is live
-        rows = slice(None) if live.size == runs else live
-        row[rows, 0], row[rows, 1], row[rows, 2] = loss_n, energy_n, gnorm
-        # each recorder value is its run's scalar formula in the same order,
-        # on the live rows; np.where computes both branches and an iterate
-        # near overflow is routine, so none of this warns
-        with np.errstate(all="ignore"):
+            row = columns[epoch]
+            # a slice while every run is live
+            rows = slice(None) if live.size == runs else live
+            row[rows, 0], row[rows, 1], row[rows, 2] = loss_n, energy_n, gnorm
+            # each recorder value is its run's scalar formula in the same order,
+            # on the live rows; np.where computes both branches
             if record_delta_u:
                 a, b = coeffs
                 row[rows, 3] = delta_u_weighted(model, theta, theta_next, a, problem.T,
@@ -359,7 +357,7 @@ def train_runs(
                 denom = np.sqrt(row_dot(e_grad, e_grad)) * gnorm
                 row[rows, 5] = e_dot_l
                 row[rows, 6] = np.where(denom > 0.0, e_dot_l / denom, math.nan)
-        theta = theta_next
+            theta = theta_next
     for done, row in zip(final, best + [theta]):
         done[live] = row
 

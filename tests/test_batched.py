@@ -10,7 +10,9 @@ depth, widths, output size, K); the numbers come from a numpy generator
 seeded by hypothesis, so shrinking never walks theta onto a relu kink.
 The Euler scan is checked against a per-step scan that tests finiteness
 after every step: the divergence step must match, and the states bit for
-bit with one control input (at 1e-12 with more).
+bit with one control input (at 1e-12 with more). One run with n <= 2 and
+A != 0 scans on Python floats, and its states must equal row 0 of a
+two-run population byte for byte up to the first non-finite row.
 
 The population path (train_runs, a leading run axis through the nets, the
 scan, bptt_grad and tbptt_grad) must equal one train call per row bit for
@@ -505,6 +507,71 @@ class TestEulerOnSampledControls:
                               model.forward_batch(theta, problem.times()[:-1]))
 
 
+@st.composite
+def one_run_kernels(draw):
+    """A problem with n = 1 or 2 and A != 0, whose A may be scaled to 1e-300
+    so that products underflow to +-0, with signed zeros in x0 and the
+    controls and maybe one inf or NaN control."""
+    n, m, k = draw(st.integers(1, 2)), draw(st.integers(1, 2)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(seeds))
+    a = draw(st.sampled_from([1e-300, 1e-3, 1.0, 1e3, 1e300])) * rng.normal(size=(n, n))
+    x0 = draw(st.sampled_from([1e-30, 1.0, 1e300])) * rng.normal(size=n)
+    u = draw(st.sampled_from([1e-300, 1.0, 1e300])) * rng.normal(size=(k, m))
+    x0, u = signed_zeros(rng, x0), signed_zeros(rng, u)
+    if draw(st.booleans()):
+        u[draw(st.integers(0, k - 1)), draw(st.integers(0, m - 1))] = \
+            draw(st.sampled_from([np.inf, -np.inf, np.nan]))
+    problem = ControlProblem(LinearDynamics(a, rng.normal(size=(n, m))), x0, np.zeros(n),
+                             rng.uniform(0.1, 5.0), k)
+    return problem, u
+
+
+def check_kernel_is_population_row(problem, u):
+    """euler_states of one run with (K, m) and (1, K, m) controls against
+    row 0 of a two-run population: the same first bad step, and the same
+    bytes up to it."""
+    rows = euler_states(problem, np.stack([u, u]))
+    step = first_nonfinite(rows[0])
+    finite = problem.steps + 1 if step < 0 else step + 1
+    for lead in ((), (1,)):
+        got = euler_states(problem, u.reshape(lead + u.shape))
+        assert got.shape == lead + rows.shape[1:]
+        got = got.reshape(rows.shape[1:])
+        assert first_nonfinite(got) == step
+        assert got[:finite].tobytes() == rows[0][:finite].tobytes()
+    return rows[0]
+
+
+class TestOneRunKernel:
+    """One run with n <= 2 and A != 0 scans on Python floats; each state
+    must be the population loop's, whose rows are single BLAS calls."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(one_run_kernels())
+    def test_kernel_is_population_row(self, case):
+        check_kernel_is_population_row(*case)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_minus_zero_products_round_as_gemv(self, monkeypatch, n):
+        # a > 0 times x0 = -0 is a -0 product, which gemv's sum from +0 makes
+        # +0; the second coordinate's 1e-300 * -1e-30 underflows. numpy's
+        # U B^T never returns -0 (test_prefix_sum_step_starts_from_plus_zero),
+        # which would hide A x_0's sign, so both scans are also handed -0
+        # steps B u_k: then x_1 = -0 + (+0 - 0) dt is +0, and a -0 A x_0
+        # would keep -0
+        a = 1e-300 * np.array([[1.0, -1.0], [-1.0, 1.0]])[:n, :n]
+        x0 = np.array([-0.0, -1e-30])[:n]
+        problem = ControlProblem(LinearDynamics(a, np.ones((n, 1))), x0, np.zeros(n), 1.0, 4)
+        check_kernel_is_population_row(problem, np.full((4, 1), -0.0))
+        orig = dynamics.time_major
+        monkeypatch.setattr(dynamics, "time_major",
+                            lambda v: np.where(orig(v) == 0.0, -0.0, orig(v)))
+        want = euler_states(problem, np.zeros((2, 4, 1)))[0]
+        got = dynamics._one_run_scan(problem, np.full((4, n), -0.0))
+        assert got.tobytes() == want.tobytes()
+        assert np.signbit(got[0, 0]) and not np.signbit(got[1:, 0]).any()
+
+
 # -- gradients ----------------------------------------------------------------
 
 
@@ -927,6 +994,22 @@ class TestPopulationTraining:
                 assert traj.controls[r].tobytes() == one.controls.tobytes()
                 assert res.grad[r].tobytes() == one_res.grad.tobytes()
                 assert res.loss[r] == one_res.loss
+
+    def test_divergence_read_off_the_last_state(self):
+        # x_{k+1} = 2 x_k + u from x0 = 1e307 (A = B = dt = 1): under u = 0
+        # only x_K (3.2e308) overflows, u = 1e308 overflows at step 1, and
+        # u = -1e307 holds x at x* with a zero gradient
+        k = 5
+        problem = ControlProblem(LinearDynamics([[1.0]], [[1.0]]), [1e307], [1e307],
+                                 float(k), k)
+        thetas = np.array([[0.0], [1e308], [-1e307]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            states = euler_states(problem, np.repeat(thetas[:, None, :], k, axis=1))
+        assert np.isfinite(states[0, :k]).all() and not np.isfinite(states[0, k]).any()
+        assert first_nonfinite(states).tolist() == [k - 1, 1, -1]
+        want = check_population(problem, ConstantControl(), thetas, Sd(0.1), 3)
+        assert [(w.diverged_at, w.diverged_step) for w in want] == \
+            [(0, k - 1), (0, 1), (None, None)]
 
     def test_divergence_epochs_differ(self):
         want = check_population(flow2d_problem(25), SingleNeuron(RELU), EPOCHS_DIFFER,
